@@ -29,12 +29,14 @@ from .solver import (
     FactorSpec,
     h_factor_decide,
 )
-from .theorems import check_certificate, gallai_check, hub_parity_analysis, verify_theorem2
+from .theorems import SearchInconclusive, check_certificate, gallai_check, hub_parity_analysis, verify_theorem2
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+INCONCLUSIVE_MESSAGE = "inconclusive: the factor search hit its node budget"
 
 
 class CliError(Exception):
@@ -165,9 +167,14 @@ def _cmd_verify(args: argparse.Namespace, echo: str) -> int:
                 holds = verify_theorem2(g)
             except ValueError as exc:
                 raise CliError(f"precondition violated: {exc}") from exc
+            except SearchInconclusive:
+                holds = None
             result = {"theorem": "half-degree-factor-iff-even-order", "holds": holds}
-            human = "theorem holds" if holds else "theorem VIOLATED on this instance"
-            code = EXIT_OK if holds else EXIT_NEGATIVE
+            if holds is None:
+                human, code = INCONCLUSIVE_MESSAGE, EXIT_INCONCLUSIVE
+            else:
+                human = "theorem holds" if holds else "theorem VIOLATED on this instance"
+                code = EXIT_OK if holds else EXIT_NEGATIVE
         elif args.check == "gallai":
             if args.k is None:
                 raise CliError("verify gallai requires --k")
@@ -175,13 +182,14 @@ def _cmd_verify(args: argparse.Namespace, echo: str) -> int:
             factor_exists = None
             if report.applicable:
                 decision = h_factor_decide(g, FactorSpec.of(args.k))
-                if decision.verdict == INCONCLUSIVE:
-                    raise CliError("factor search hit its node budget")
-                factor_exists = decision.exists
+                if decision.verdict != INCONCLUSIVE:
+                    factor_exists = decision.exists
             result = {"report": report.to_json_dict(), "factor_exists": factor_exists}
             if not report.applicable:
                 human = f"not applicable: {report.reason}"
                 code = EXIT_NEGATIVE
+            elif factor_exists is None:
+                human, code = INCONCLUSIVE_MESSAGE, EXIT_INCONCLUSIVE
             elif factor_exists:
                 human = f"applicable (m={report.m}) and the {args.k}-factor exists"
                 code = EXIT_OK

@@ -134,8 +134,14 @@ def edge_connectivity(g: Graph) -> int:
     best = min(g.degrees())
     if best == 0:
         return 0
+    # Arcs 2i (u -> v) and 2i+1 (v -> u) for edge i = (u, v): the reverse of
+    # arc a is a ^ 1. Sorted edges keep each arcs_of list in neighbor order.
+    head = [w for u, v in g.edges for w in (v, u)]
+    arcs_of: list[list[int]] = [[] for _ in range(g.n)]
+    for a in range(len(head)):
+        arcs_of[head[a ^ 1]].append(a)
     for t in range(1, g.n):
-        flow = _unit_max_flow(g, 0, t, cutoff=best)
+        flow = _unit_max_flow(head, arcs_of, 0, t, cutoff=best)
         if flow < best:
             best = flow
             if best == 0:
@@ -143,32 +149,31 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-def _unit_max_flow(g: Graph, s: int, t: int, cutoff: int) -> int:
-    # Undirected unit capacities: residual arcs only ever live on original
-    # edges, so BFS can scan g's adjacency. Stops early at `cutoff`.
-    residual: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        residual[(u, v)] = 1
-        residual[(v, u)] = 1
+def _unit_max_flow(head: list[int], arcs_of: list[list[int]], s: int, t: int, cutoff: int) -> int:
+    # Undirected unit capacities: both arcs of an edge start with residual 1.
+    # BFS augmenting paths (Edmonds-Karp); stops early at `cutoff`.
+    residual = [1] * len(head)
     flow = 0
     while flow < cutoff:
-        parent = [-1] * g.n
-        parent[s] = s
+        # via[w] is the arc that reached w; s is marked with a non-arc value.
+        via = [-1] * len(arcs_of)
+        via[s] = -2
         queue = deque([s])
-        while queue and parent[t] == -1:
+        while queue and via[t] == -1:
             v = queue.popleft()
-            for w in g.neighbors(v):
-                if parent[w] == -1 and residual[(v, w)] > 0:
-                    parent[w] = v
+            for a in arcs_of[v]:
+                w = head[a]
+                if via[w] == -1 and residual[a] > 0:
+                    via[w] = a
                     queue.append(w)
-        if parent[t] == -1:
+        if via[t] == -1:
             break
         v = t
         while v != s:
-            u = parent[v]
-            residual[(u, v)] -= 1
-            residual[(v, u)] += 1
-            v = u
+            a = via[v]
+            residual[a] -= 1
+            residual[a ^ 1] += 1
+            v = head[a ^ 1]
         flow += 1
     return flow
 

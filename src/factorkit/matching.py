@@ -4,7 +4,10 @@ The algorithm grows an alternating BFS tree from each exposed vertex; an
 edge joining two even-level vertices of the tree closes an odd cycle, which
 is contracted by rebasing every cycle vertex onto the lowest common ancestor
 of the two endpoints. O(V^3) worst case, entirely deterministic: vertices
-are scanned in increasing id and the tree is grown in FIFO order.
+are scanned in increasing id and the tree is grown in FIFO order. Each
+search resets, marks and contracts only its own tree, so its work follows
+the tree, not n; contraction visits the tree in ascending id, the order of
+a full scan.
 """
 
 from __future__ import annotations
@@ -31,33 +34,42 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 
     parent = [-1] * n
     base = list(range(n))
+    used = [False] * n
+    # The current search's tree: the only vertices whose state is not reset.
+    tree: list[int] = []
+    # mark[v] == stamp flags v in the current lca walk or blossom.
+    mark = [0] * n
+    stamp = 0
 
     def lca(a: int, b: int) -> int:
-        on_path = [False] * n
+        nonlocal stamp
+        stamp += 1
         x = base[a]
         while True:
-            on_path[x] = True
+            mark[x] = stamp
             if mate[x] == -1:
                 break
             x = base[parent[mate[x]]]
         y = base[b]
-        while not on_path[y]:
+        while mark[y] != stamp:
             y = base[parent[mate[y]]]
         return y
 
-    def mark_path(v: int, stop: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, stop: int, child: int) -> None:
         while base[v] != stop:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+            mark[base[v]] = stamp
+            mark[base[mate[v]]] = stamp
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
 
     def find_augmenting_path(root: int) -> int:
-        for i in range(n):
+        nonlocal stamp
+        for i in tree:
             parent[i] = -1
             base[i] = i
-        used = [False] * n
+            used[i] = False
+        tree[:] = [root]
         used[root] = True
         queue = deque([root])
         while queue:
@@ -66,22 +78,26 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                    # Both endpoints are even: contract the blossom.
+                    # Both endpoints are even: contract the blossom, under a
+                    # fresh stamp so lca's root-path marks are not read as its.
                     stop = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, stop, to, in_blossom)
-                    mark_path(to, stop, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
+                    stamp += 1
+                    mark_path(v, stop, to)
+                    mark_path(to, stop, v)
+                    tree.sort()
+                    for i in tree:
+                        if mark[base[i]] == stamp:
                             base[i] = stop
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree.append(to)
                     if mate[to] == -1:
                         return to
                     used[mate[to]] = True
+                    tree.append(mate[to])
                     queue.append(mate[to])
         return -1
 

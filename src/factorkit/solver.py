@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, articulation_points, connected_components, induced_subgraph, regularity
 from .matching import maximum_matching
@@ -171,7 +171,8 @@ def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ..
             for e in ext_of[v]:
                 adj[c].append(e)
                 adj[e].append(c)
-    mate = maximum_matching(total, [sorted(a) for a in adj])
+    # Every list is built ascending (an endpoint's partner precedes all cores).
+    mate = maximum_matching(total, adj)
     if any(u == -1 for u in mate):
         return None
     return tuple(
@@ -507,6 +508,17 @@ def _extract_two_factor(n: int, edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
     return tuple(sorted(set(chosen)))
 
 
+def _two_factors(g: Graph, count: int) -> Iterator[tuple[Edge, ...]]:
+    """Extract `count` pairwise edge-disjoint 2-factors of an even-regular
+    graph in turn, each from the edges the previous ones left."""
+    current = g.edges
+    for _ in range(count):
+        two_factor = _extract_two_factor(g.n, current)
+        yield two_factor
+        drop = set(two_factor)
+        current = tuple(e for e in current if e not in drop)
+
+
 def decompose_two_factors(g: Graph) -> list[tuple[Edge, ...]]:
     """Split an even-regular graph into r/2 pairwise edge-disjoint 2-regular
     spanning subgraphs whose union is the whole edge set."""
@@ -515,14 +527,7 @@ def decompose_two_factors(g: Graph) -> list[tuple[Edge, ...]]:
         raise ValueError("graph must be regular to decompose into 2-factors")
     if r % 2 == 1:
         raise ValueError(f"degree must be even to decompose into 2-factors, got {r}")
-    current = g.edges
-    factors: list[tuple[Edge, ...]] = []
-    for _ in range(r // 2):
-        two_factor = _extract_two_factor(g.n, current)
-        factors.append(two_factor)
-        drop = set(two_factor)
-        current = tuple(e for e in current if e not in drop)
-    return factors
+    return list(_two_factors(g, r // 2))
 
 
 def even_k_factor(g: Graph, k: int) -> tuple[Edge, ...]:
@@ -534,11 +539,4 @@ def even_k_factor(g: Graph, k: int) -> tuple[Edge, ...]:
         raise ValueError("even-degree factor extraction needs an even-regular graph")
     if k % 2 == 1 or not 0 <= k <= r:
         raise ValueError(f"need even k with 0 <= k <= {r}, got {k}")
-    current = g.edges
-    chosen: list[Edge] = []
-    for _ in range(k // 2):
-        two_factor = _extract_two_factor(g.n, current)
-        chosen.extend(two_factor)
-        drop = set(two_factor)
-        current = tuple(e for e in current if e not in drop)
-    return tuple(sorted(chosen))
+    return tuple(sorted(e for factor in _two_factors(g, k // 2) for e in factor))

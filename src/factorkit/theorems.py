@@ -78,6 +78,10 @@ def gallai_check(g: Graph, k: int) -> GallaiReport:
     return GallaiReport(r, m, k, n_even, bounds_ok, applicable, reason)
 
 
+class SearchInconclusive(RuntimeError):
+    """The factor search hit its node budget, so no verdict was reached."""
+
+
 def verify_theorem2(g: Graph) -> bool:
     """Check both directions of "an r/2-factor exists iff the order is even"
     on a connected r-regular graph with r/2 odd.
@@ -95,7 +99,7 @@ def verify_theorem2(g: Graph) -> bool:
         raise ValueError("graph must be connected")
     decision = h_factor_decide(g, FactorSpec.of(r // 2))
     if decision.verdict == INCONCLUSIVE:
-        raise RuntimeError("factor search hit its node budget; no verdict")
+        raise SearchInconclusive("factor search hit its node budget; no verdict")
     return decision.exists == (g.n % 2 == 0)
 
 

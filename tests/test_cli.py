@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from factorkit.cli import run
 from factorkit.constructions import build_g1
 from factorkit.generators import circulant_graph, complete_graph
 from factorkit.io import decode_graph6, from_dimacs, write_graph
+from factorkit.solver import INCONCLUSIVE, METHOD_BUDGET, Decision
 
 
 @pytest.fixture
@@ -87,6 +89,18 @@ def test_factor_find_emits_certificate(g1_path, capsys):
     assert set(degs) == {3}
 
 
+def test_factor_find_output_pinned(tmp_path, capsys):
+    # Byte-for-byte pin of the certificate the search finds first.
+    path = write_g6(tmp_path, "c120.g6", circulant_graph(120, (1, 11, 37)))
+    assert run(["factor", "find", "--spec", "1,5", "--in", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["decision"]["nodes_explored"] == 1
+    text = json.dumps(report["result"]).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "636bd8adf47aae801b9d7bebbd33204072974cb26db44298a6ffd295c258db9c"
+    )
+
+
 def test_factor_check_omits_certificate(g1_path, capsys):
     assert run(["factor", "check", "--spec", "3", "--in", g1_path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -152,6 +166,25 @@ def test_verify_gallai(tmp_path, capsys):
     # inapplicable: odd order
     path = write_g6(tmp_path, "k7.g6", complete_graph(7))
     assert run(["verify", "gallai", "--in", path, "--k", "3"]) == 1
+
+
+def _inconclusive(g, spec, budget=None):
+    return Decision(INCONCLUSIVE, METHOD_BUDGET, None, 0)
+
+
+def test_verify_thm2_inconclusive_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("factorkit.theorems.h_factor_decide", _inconclusive)
+    path = write_g6(tmp_path, "k7.g6", complete_graph(7))
+    assert run(["verify", "thm2", "--in", path, "--json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["holds"] is None
+
+
+def test_verify_gallai_inconclusive_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("factorkit.cli.h_factor_decide", _inconclusive)
+    path = write_g6(tmp_path, "c8.g6", circulant_graph(8, (1, 2, 3)))
+    assert run(["verify", "gallai", "--in", path, "--k", "3"]) == 3
+    assert capsys.readouterr().out.startswith("inconclusive")
 
 
 def test_verify_gallai_requires_k(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from factorkit import solver
+from factorkit.constructions import build_g1
+from factorkit.generators import circulant_graph
 from factorkit.graph import Graph
 from factorkit.matching import is_perfect, matching_size, maximum_matching
 
@@ -41,20 +46,63 @@ def test_random_graphs_against_brute_force():
         assert matching_size(mate) == brute_max_matching_size(g.n, list(g.edges))
 
 
-def test_random_graphs_against_networkx():
+def odd_cycle_graph(rng: random.Random, n: int) -> Graph:
+    """Disjoint odd cycles of length 3-9 under a random labeling (a vertex
+    or two may be left over), plus n/2 random chords: many blossoms."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    start = 0
+    while n - start >= 3:
+        length = min(rng.choice((3, 5, 7, 9)), n - start)
+        length -= 1 - length % 2
+        cycle = order[start:start + length]
+        edges.update(tuple(sorted((cycle[i], cycle[i - 1]))) for i in range(length))
+        start += length
+    while len(edges) < n + n // 2:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, tuple(edges))
+
+
+@pytest.fixture
+def solver_matchings(monkeypatch):
+    """(n, adj, mate) of every matching the solver runs, in call order."""
+    calls = []
+
+    def spy(n, adj):
+        mate = maximum_matching(n, adj)
+        calls.append((n, adj, mate))
+        return mate
+
+    monkeypatch.setattr(solver, "maximum_matching", spy)
+    return calls
+
+
+def test_random_graphs_against_networkx(solver_matchings):
     nx = pytest.importorskip("networkx")
     rng = random.Random(314)
+    graphs = []
     for _ in range(50):
         n = rng.randint(8, 30)
         pairs = list(itertools.combinations(range(n), 2))
-        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
-        g = Graph(n, tuple(edges))
+        graphs.append(Graph(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))))))
+    # Large inputs with many blossoms, where a search tree covers a small
+    # part of the graph, so tree-local resets and contraction scans differ
+    # from full scans.
+    graphs += [odd_cycle_graph(rng, n) for n in (201, 350, 600)]
+    # The solver's gadget for a 1-factor of G1(r=6): 242 vertices, hundreds
+    # of blossoms, no perfect matching.
+    solver._prescribed_factor_edges(build_g1(6).graph, [1] * 22)
+    n, adj, _ = solver_matchings[0]
+    graphs.append(Graph(n, tuple((u, w) for u in range(n) for w in adj[u] if u < w)))
+    for g in graphs:
         G = nx.Graph()
-        G.add_nodes_from(range(n))
-        G.add_edges_from(edges)
-        ours = matching_size(maximum_matching(g.n, adj_of(g)))
-        theirs = len(nx.max_weight_matching(G, maxcardinality=True))
-        assert ours == theirs
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        mate = maximum_matching(g.n, adj_of(g))
+        check_consistency(g, mate)
+        assert matching_size(mate) == len(nx.max_weight_matching(G, maxcardinality=True))
 
 
 def test_petersen_has_perfect_matching():
@@ -77,3 +125,52 @@ def test_deterministic():
     first = maximum_matching(g.n, adj_of(g))
     second = maximum_matching(g.n, adj_of(g))
     assert first == second
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_mates_pinned_on_random_graphs():
+    # Byte-for-byte pin of the search order: any change to which augmenting
+    # path is found first changes some mate list here.
+    rng = random.Random(20111)
+    mates = []
+    for _ in range(300):
+        n = rng.randint(2, 60)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 4 * n)))))
+        mates.append(maximum_matching(g.n, adj_of(g)))
+    assert digest(mates) == "c624f686ea62d5d8c6395ed37af673955829cb92750421610d3d79695e9422a2"
+
+
+@pytest.mark.parametrize(
+    "g, alternate, size, pinned, exists",
+    [
+        (build_g1(10).graph, False, 840,
+         "2c54531916b08f7b409805bcad4e23c1450751583bdec14fd52410930ed6109a", True),
+        (build_g1(10).graph, True, 840,
+         "c0e353178852689673b6e1603c781bda31a9dcb21202e47b75cc0bda30ec1e4b", False),
+        (circulant_graph(120, (1, 11, 37)), False, 1080,
+         "2f028e5ee5afaabc527e6cb74bcf6783b51cd3f0fb0208d3495f6debfbd1661b", True),
+        (circulant_graph(120, (1, 11, 37)), True, 1080,
+         "05039954b93d85118ff742a5853467c4548a5ffc0ef96504f88ab0046e3de20a", False),
+    ],
+)
+def test_mates_pinned_on_gadgets(solver_matchings, g, alternate, size, pinned, exists):
+    r = g.degree(0)
+    targets = [(1 if v % 2 else r - 1) if alternate else r // 2 for v in range(g.n)]
+    edges = solver._prescribed_factor_edges(g, targets)
+    assert (edges is not None) == exists
+    mates = [mate for _, _, mate in solver_matchings]
+    assert [len(mate) for mate in mates] == [size]
+    assert digest(mates) == pinned
+
+
+def test_mates_pinned_on_bipartite_double(solver_matchings):
+    g = circulant_graph(120, (1, 11, 37))
+    two_factor = solver._extract_two_factor(g.n, g.edges)
+    mates = [mate for _, _, mate in solver_matchings]
+    assert [len(mate) for mate in mates] == [240]
+    assert digest(mates) == "51a5cb32f4f2bd72d9bdbdd5ad7753d4b03ded683b22918872f5d22d4eb1f324"
+    assert digest(two_factor) == "5c171404859a85eb1048e150cd64a2f450035351da66ca240188b8758f1f50f0"
