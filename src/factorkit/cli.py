@@ -7,7 +7,8 @@ graph per line; multi-line input runs each line as a batch item.
 
 Exit codes: 0 success / factor exists / theorem holds; 1 no factor or
 argument not applicable (a valid answer, not an error); 2 usage or input
-error; 3 search hit its node budget (inconclusive).
+error; 3 search hit its node budget (inconclusive); 4 internal error (a
+fault in factorkit, reported as one line on stderr, never as an answer).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 INCONCLUSIVE_MESSAGE = "inconclusive: the factor search hit its node budget"
 
@@ -312,6 +314,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

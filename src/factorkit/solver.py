@@ -147,8 +147,6 @@ def verify_factor(g: Graph, certificate: Iterable[Sequence[int]], spec: FactorSp
 def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
     """Edges of a spanning subgraph with degree exactly targets[v] at each v,
     or None if no such subgraph exists. Callers validate targets."""
-    if sum(targets) % 2 == 1:
-        return None
     # Gadget layout: two endpoint vertices per edge, then per-vertex cores.
     num_ext = 2 * g.m
     ext_of: list[list[int]] = [[] for _ in range(g.n)]

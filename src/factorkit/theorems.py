@@ -88,7 +88,8 @@ def verify_theorem2(g: Graph) -> bool:
 
     The positive direction demands an actual certificate from the solver,
     not just the Gallai hypotheses. Returns True iff the equivalence holds
-    on this instance (anything else would be a counterexample).
+    on this instance (anything else would be a counterexample). Raises
+    SearchInconclusive when the search uses up its node budget.
     """
     r = regularity(g)
     if r is None:

@@ -2,9 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import factorkit
 from factorkit.cli import run
 from factorkit.constructions import build_g1
 from factorkit.generators import circulant_graph, complete_graph
@@ -187,6 +189,26 @@ def test_verify_gallai_inconclusive_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("inconclusive")
 
 
+def _internal_fault(*args, **kwargs):
+    raise AssertionError("invariant broken")
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("factorkit.cli.h_factor_decide", ["factor", "check", "--spec", "3"]),
+        ("factorkit.cli.gallai_check", ["verify", "gallai", "--k", "3"]),
+    ],
+)
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, target, argv):
+    monkeypatch.setattr(target, _internal_fault)
+    path = write_g6(tmp_path, "c8.g6", circulant_graph(8, (1, 2, 3)))
+    assert run(argv + ["--in", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: AssertionError: invariant broken\n"
+    assert captured.out == ""
+
+
 def test_verify_gallai_requires_k(tmp_path, capsys):
     path = write_g6(tmp_path, "c8.g6", circulant_graph(8, (1, 2, 3)))
     assert run(["verify", "gallai", "--in", path]) == 2
@@ -253,10 +275,13 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_console_entry_point():
+    # Run from the directory holding the imported package, so the child
+    # process imports the same factorkit whether or not it is installed.
     result = subprocess.run(
         [sys.executable, "-m", "factorkit", "gen", "g1", "--r", "6"],
         capture_output=True,
         text=True,
+        cwd=Path(factorkit.__file__).parents[1],
     )
     assert result.returncode == 0
     assert decode_graph6(result.stdout.strip()).n == 22

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import factorkit.graph as graph_module
 from factorkit.graph import (
     Graph,
     articulation_points,
@@ -18,6 +19,7 @@ from factorkit.generators import (
     cycle_graph,
     path_graph,
     random_graph,
+    random_regular_graph,
 )
 
 from oracles import brute_articulation_points, brute_min_cut
@@ -142,6 +144,78 @@ def test_g1_edge_connectivity_is_two():
     pair = {(u, hub), (v, hub)}
     assert components_after_deleting(g, pair, set()) == 2
     assert edge_connectivity(g) == 2
+
+
+def _networkx_edge_connectivity(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return nx.edge_connectivity(G)
+
+
+@pytest.fixture
+def flow_sources(monkeypatch):
+    """The source of every unit max flow that edge_connectivity runs."""
+    sources = []
+    unit_max_flow = graph_module._unit_max_flow
+
+    def recording(head, arcs_of, s, t, cutoff):
+        sources.append(s)
+        return unit_max_flow(head, arcs_of, s, t, cutoff)
+
+    monkeypatch.setattr(graph_module, "_unit_max_flow", recording)
+    return sources
+
+
+def test_edge_connectivity_two_cliques_matches_networkx(flow_sources):
+    # Cliques K_a and K_b (a, b >= 5) joined by k <= 3 edges: lambda = k is
+    # below the minimum degree, the case where only the dominating-set
+    # sinks can find the cut. Relabelling puts the flows' source, the first
+    # dominating vertex, on either side.
+    rng = random.Random(71)
+    source_in_first = set()
+    for _ in range(60):
+        a, b = rng.randint(5, 10), rng.randint(5, 10)
+        n = a + b
+        edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+        edges += [(u, v) for u in range(a, n) for v in range(u + 1, n)]
+        bridges = rng.sample([(u, v) for u in range(a) for v in range(a, n)], rng.randint(1, 3))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, tuple((perm[u], perm[v]) for u, v in edges + bridges))
+        flow_sources.clear()
+        assert edge_connectivity(g) == _networkx_edge_connectivity(g) == len(bridges)
+        assert len(bridges) < min(g.degrees())
+        source_in_first.add(perm.index(flow_sources[0]) < a)
+    assert source_in_first == {True, False}
+
+
+def test_edge_connectivity_of_families_matches_networkx():
+    from factorkit.constructions import build_g1, build_g2
+
+    graphs = [build_g1(r).graph for r in (6, 10, 14)] + [build_g2(r).graph for r in (8, 12)]
+    for g in graphs:
+        assert edge_connectivity(g) == _networkx_edge_connectivity(g) == 2 < min(g.degrees())
+
+
+def test_edge_connectivity_of_large_regular_graphs_matches_networkx():
+    rng = random.Random(5)
+    graphs = [
+        circulant_graph(120, (1, 11, 37)),
+        circulant_graph(200, (1, 9, 43, 77)),
+        circulant_graph(300, (1, 13, 47, 89, 121)),
+    ]
+    graphs += [random_regular_graph(2 * rng.randint(50, 150), r, rng) for r in (3, 3, 4, 4)]
+    for g in graphs:
+        assert edge_connectivity(g) == _networkx_edge_connectivity(g)
+
+
+def test_edge_connectivity_flows_follow_greedy_dominating_set(flow_sources):
+    # Greedy by coverage dominates C(300; 1,13,47,89,121) with 45 vertices,
+    # so 44 flows run; greedy by ascending id would take 150.
+    assert edge_connectivity(circulant_graph(300, (1, 13, 47, 89, 121))) == 10
+    assert len(flow_sources) == 44
 
 
 def test_articulation_points_match_brute_force():
