@@ -11,9 +11,14 @@ Degree-set queries search over per-vertex target assignments on top of that
 engine. The search decomposes at cut vertices when the graph has them,
 enumerating the cross-edge subsets into each side and memoizing per-piece
 feasibility, which is what makes hub-and-blocks families tractable; plain
-biconnected pieces fall back to lexicographic assignment enumeration. A
-"not exists" answer is only ever produced once the pruned space is provably
-exhausted; hitting the node budget yields a distinct inconclusive verdict.
+biconnected pieces fall back to lexicographic assignment enumeration. Each
+search keeps a piece table: every distinct relabeled piece, keyed by its
+(n, edges), is induced and split at its least cut vertex once, and the memo
+is keyed by (piece id, candidate degrees), so identical blocks share
+entries. The cut-vertex search runs on an explicit stack, so deep block-cut
+trees need no recursion. A "not exists" answer is only ever produced once
+the pruned space is provably exhausted; hitting the node budget yields a
+distinct inconclusive verdict.
 
 All functions are pure and the verdicts are deterministic across runs.
 """
@@ -21,9 +26,8 @@ All functions are pure and the verdicts are deterministic across runs.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .graph import Graph, articulation_points, connected_components, induced_subgraph, regularity
 from .matching import maximum_matching
@@ -208,18 +212,56 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class _Piece:
+    """One relabeled piece of the decomposition: its memo id and, once split,
+    its least cut vertex (None if it has none) and per side of that cut the
+    side's piece, its vertex order in this piece and its cross neighbours
+    (side-local ids of the cut's neighbours)."""
+
+    __slots__ = ("index", "graph", "cut", "sides")
+
+    def __init__(self, index: int, graph: Graph) -> None:
+        self.index = index
+        self.graph = graph
+        self.cut: int | None = None
+        self.sides: list[tuple[_Piece, list[int], list[int]]] | None = None
+
+
 class _SearchState:
-    __slots__ = ("budget", "nodes", "memo")
+    __slots__ = ("budget", "nodes", "memo", "pieces")
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.nodes = 0
         self.memo: dict = {}
+        self.pieces: dict[tuple, _Piece] = {}
 
     def charge(self, amount: int = 1) -> None:
         self.nodes += amount
         if self.nodes > self.budget:
             raise _BudgetExceeded
+
+    def piece(self, graph: Graph) -> _Piece:
+        """The table's record for this relabeled piece, added on first sight."""
+        key = (graph.n, graph.edges)
+        if key not in self.pieces:
+            self.pieces[key] = _Piece(len(self.pieces), graph)
+        return self.pieces[key]
+
+
+def _split(piece: _Piece, state: _SearchState) -> None:
+    """Fill in the piece's cut vertex and sides; done once per piece."""
+    g = piece.graph
+    cuts = articulation_points(g)
+    piece.sides = []
+    if not cuts:
+        return
+    cut = piece.cut = cuts[0]
+    rest, rest_order = induced_subgraph(g, [v for v in range(g.n) if v != cut])
+    for comp in connected_components(rest):
+        side, order = induced_subgraph(g, [rest_order[i] for i in comp])
+        cross = [i for i, v in enumerate(order) if g.has_edge(cut, v)]
+        piece.sides.append((state.piece(side), order, cross))
 
 
 def _parity_impossible(candidates: Sequence[Sequence[int]]) -> bool:
@@ -235,119 +277,85 @@ def _parity_impossible(candidates: Sequence[Sequence[int]]) -> bool:
 
 
 def _solve_vertices(
-    g: Graph,
-    vertices: Sequence[int],
-    allowed: dict[int, tuple[int, ...]],
-    state: _SearchState,
+    g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchState
 ) -> list[Edge] | None:
-    """Factor edges over the induced subgraph on `vertices` where each vertex
-    v must end with internal degree in allowed[v], or None if impossible."""
-    vset = set(vertices)
-    if not vset:
-        return []
-    remaining = set(vset)
+    """Factor edges of g where each vertex v ends with degree in allowed[v],
+    or None if impossible; each component is solved as one piece."""
     out: list[Edge] = []
-    while remaining:
-        start = min(remaining)
-        comp = [start]
-        remaining.discard(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.append(w)
-                    queue.append(w)
-        sub = _solve_component(g, sorted(comp), allowed, state)
-        if sub is None:
+    for comp in connected_components(g):
+        sub, order = induced_subgraph(g, comp)
+        candidates = tuple(allowed[v] for v in comp)
+        if _parity_impossible(candidates):
             return None
-        out.extend(sub)
+        ranked = _solve_piece(state.piece(sub), candidates, state)
+        if ranked is None:
+            return None
+        out.extend((order[u], order[v]) for u, v in ranked)
     return out
 
 
-def _solve_component(
-    g: Graph,
-    comp: list[int],
-    allowed: dict[int, tuple[int, ...]],
-    state: _SearchState,
+def _solve_piece(
+    piece: _Piece, candidates: tuple[tuple[int, ...], ...], state: _SearchState
 ) -> list[Edge] | None:
-    sub, order = induced_subgraph(g, comp)
-    candidates: list[tuple[int, ...]] = []
-    for i, v in enumerate(order):
-        values = tuple(a for a in allowed[v] if a <= sub.degree(i))
-        if not values:
-            return None
-        candidates.append(values)
-    if _parity_impossible(candidates):
-        return None
-    key = (sub.n, sub.edges, tuple(candidates))
-    if key in state.memo:
-        ranked = state.memo[key]
-    else:
-        cuts = articulation_points(sub)
-        if cuts:
-            ranked = _solve_at_cut_vertex(sub, candidates, cuts[0], state)
+    """Factor edges of a piece in its own labels, or None, memoized by
+    (piece id, candidates). Cut-vertex pieces run as generators on an
+    explicit stack, each suspended on the side sub-problem it yielded, so
+    deep block-cut trees need no recursion."""
+    stack: list = []
+    while True:
+        key = (piece.index, candidates)
+        if key in state.memo:
+            result = state.memo[key]
         else:
-            ranked = _solve_by_enumeration(sub, candidates, state)
-        state.memo[key] = ranked
-    if ranked is None:
-        return None
-    return [
-        (order[u], order[v]) if order[u] < order[v] else (order[v], order[u])
-        for u, v in ranked
-    ]
+            if piece.sides is None:
+                _split(piece, state)
+            if piece.cut is None:
+                result = state.memo[key] = _solve_by_enumeration(piece.graph, candidates, state)
+            else:
+                stack.append((key, _solve_at_cut_vertex(piece, candidates, state)))
+                result = None
+        while stack:
+            key, solver = stack[-1]
+            try:
+                piece, candidates = solver.send(result)
+                break
+            except StopIteration as done:
+                stack.pop()
+                result = state.memo[key] = done.value
+        else:
+            return result
 
 
 def _solve_at_cut_vertex(
-    sub: Graph,
-    candidates: list[tuple[int, ...]],
-    cut: int,
+    piece: _Piece,
+    candidates: tuple[tuple[int, ...], ...],
     state: _SearchState,
-) -> list[Edge] | None:
+) -> Generator[tuple[_Piece, tuple], list[Edge] | None, list[Edge] | None]:
     """Decompose at a cut vertex: each side is solved independently per cross-
     edge subset, then the sides are combined so the cut vertex's own degree
-    (the number of chosen cross edges) lands on an allowed value."""
-    side_of = [-1] * sub.n
-    sides: list[list[int]] = []
-    for v in range(sub.n):
-        if v == cut or side_of[v] != -1:
-            continue
-        comp = [v]
-        side_of[v] = len(sides)
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for w in sub.neighbors(x):
-                if w != cut and side_of[w] == -1:
-                    side_of[w] = len(sides)
-                    comp.append(w)
-                    queue.append(w)
-        sides.append(sorted(comp))
-
-    allowed_map = {v: candidates[v] for v in range(sub.n)}
+    (the number of chosen cross edges) lands on an allowed value. Yields each
+    side sub-problem and receives its solution."""
+    cut = piece.cut
     max_cut_degree = max(candidates[cut])
-    # feasible[i]: cross-edge count -> (chosen neighbor subset, side edges)
-    feasible: list[dict[int, tuple[tuple[int, ...], list[Edge]]]] = []
-    for side in sides:
-        cross = [w for w in sub.neighbors(cut) if side_of[w] == side_of[side[0]]]
-        by_size: dict[int, tuple[tuple[int, ...], list[Edge]]] = {}
+    # feasible[i]: cross-edge count -> side edges plus chosen cross edges
+    feasible: list[dict[int, list[Edge]]] = []
+    for side, order, cross in piece.sides:
+        degree = side.graph.degree
+        base = [tuple(a for a in candidates[v] if a <= degree(i)) for i, v in enumerate(order)]
+        by_size: dict[int, list[Edge]] = {}
         for size in range(min(len(cross), max_cut_degree) + 1):
             for subset in itertools.combinations(cross, size):
                 state.charge()
-                reduced = dict(allowed_map)
-                ok = True
-                for w in subset:
-                    shifted = tuple(a - 1 for a in reduced[w] if a >= 1)
-                    if not shifted:
-                        ok = False
-                        break
-                    reduced[w] = shifted
-                if not ok:
+                reduced = list(base)
+                for i in subset:
+                    reduced[i] = tuple(a - 1 for a in candidates[order[i]] if 1 <= a <= degree(i) + 1)
+                if not all(reduced) or _parity_impossible(reduced):
                     continue
-                solved = _solve_vertices(sub, side, reduced, state)
+                solved = yield side, tuple(reduced)
                 if solved is not None:
-                    by_size[size] = (subset, solved)
+                    by_size[size] = [(order[u], order[v]) for u, v in solved] + [
+                        (cut, order[i]) if cut < order[i] else (order[i], cut) for i in subset
+                    ]
                     break  # any one subset of this size is interchangeable
         if not by_size:
             return None
@@ -370,16 +378,13 @@ def _solve_at_cut_vertex(
         return None
     edges: list[Edge] = []
     for i, size in enumerate(reachable[target]):
-        subset, solved = feasible[i][size]
-        edges.extend(solved)
-        for w in subset:
-            edges.append((cut, w) if cut < w else (w, cut))
+        edges.extend(feasible[i][size])
     return edges
 
 
 def _solve_by_enumeration(
     sub: Graph,
-    candidates: list[tuple[int, ...]],
+    candidates: Sequence[tuple[int, ...]],
     state: _SearchState,
 ) -> list[Edge] | None:
     """Depth-first over per-vertex target assignments in vertex id order,
@@ -407,14 +412,12 @@ def h_factor_decide(
         for comp in connected_components(g):
             if len(comp) % 2 == 1:
                 return Decision(NOT_EXISTS, METHOD_PARITY, None, 0)
-    allowed = {
-        v: tuple(a for a in spec.allowed if a <= g.degree(v)) for v in range(g.n)
-    }
-    if any(not values for values in allowed.values()):
+    allowed = [tuple(a for a in spec.allowed if a <= g.degree(v)) for v in range(g.n)]
+    if not all(allowed):
         return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, 0)
     state = _SearchState(budget)
     try:
-        edges = _solve_vertices(g, range(g.n), allowed, state)
+        edges = _solve_vertices(g, allowed, state)
     except _BudgetExceeded:
         return Decision(INCONCLUSIVE, METHOD_BUDGET, None, state.nodes)
     if edges is None:

@@ -1,12 +1,18 @@
+import hashlib
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 
-from factorkit.constructions import build_g1
+from factorkit import solver
+from factorkit.constructions import build_g1, build_g2
 from factorkit.generators import (
     circulant_graph,
     complete_graph,
     cycle_graph,
+    path_graph,
     random_graph,
     random_regular_graph,
 )
@@ -28,7 +34,7 @@ from factorkit.solver import (
     verify_factor,
 )
 
-from oracles import petersen
+from oracles import all_graphs, petersen
 
 
 def test_spec_normalization():
@@ -171,6 +177,96 @@ def test_h_factor_deterministic():
     b = h_factor_decide(g, FactorSpec.of(1, 3))
     assert a == b
 
+
+def _family_decisions() -> str:
+    """Every {k, r-k} decision of the benchmark's families (odd k <= r/2),
+    plus {r/2} on G1, one repr per line."""
+    lines = []
+    for build, degrees in ((build_g1, (6, 10, 14, 18)), (build_g2, (8, 12))):
+        for r in degrees:
+            g = build(r).graph
+            specs = [FactorSpec.complementary(k, r) for k in range(1, r // 2 + 1, 2)]
+            if build is build_g1:
+                specs.append(FactorSpec.of(r // 2))
+            for spec in specs:
+                d = h_factor_decide(g, spec)
+                lines.append(repr((d.verdict, d.method, d.certificate, d.nodes_explored)))
+    return "\n".join(lines)
+
+
+def test_family_decisions_pinned():
+    # Verdicts, methods, certificates and node counts as the search gave them
+    # before the piece table; the decomposition must not change any of them.
+    assert hashlib.sha256(_family_decisions().encode()).hexdigest() == (
+        "3de169aded721336df3775e1cfd5537f4fd1bbcbae0407abb729cef525c5b0ff"
+    )
+
+
+def test_piece_table_builds_each_piece_once(monkeypatch):
+    real_induced, real_articulation = solver.induced_subgraph, solver.articulation_points
+    induced, articulation = [], []
+
+    def counting_induced(g, vertices):
+        vertices = tuple(vertices)
+        induced.append((g.n, g.edges, vertices))
+        return real_induced(g, vertices)
+
+    def counting_articulation(g):
+        articulation.append((g.n, g.edges))
+        return real_articulation(g)
+
+    monkeypatch.setattr(solver, "induced_subgraph", counting_induced)
+    monkeypatch.setattr(solver, "articulation_points", counting_articulation)
+    dec = h_factor_decide(build_g1(14).graph, FactorSpec.of(1, 13))
+    assert dec.verdict == NOT_EXISTS and dec.nodes_explored > len(induced)
+    # The hub piece and its seven identical blocks: one split each, and each
+    # side induced once per search rather than once per cross-edge subset.
+    assert len(articulation) == len(set(articulation)) == 2
+    assert len(induced) == len(set(induced))
+
+
+def test_memo_tells_equal_sized_pieces_apart():
+    # Hub 0 with a pendant 9, a path 1-2-3-4 and a star centred at 5 whose
+    # leaf 6 meets the hub. Both 4-vertex sides see the same candidates,
+    # but only the path has a perfect matching, so the memo must key on the
+    # piece and not only on its size.
+    g = Graph(10, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 6), (5, 6), (5, 7), (5, 8), (0, 9)))
+    assert h_factor_decide(g, FactorSpec.of(1)).verdict == NOT_EXISTS
+    assert not brute_force_h_factor(g, FactorSpec.of(1)).exists
+
+def test_deep_block_cut_tree_needs_no_recursion():
+    # A path's least cut vertex peels one leaf per level: 149 levels on P_300.
+    g = path_graph(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        dec = h_factor_decide(g, FactorSpec.of(1, 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dec.exists and verify_factor(g, dec.certificate, FactorSpec.of(1, 2))
+
+
+def test_exhaustive_census_against_brute_force():
+    # Every labelled graph on 1..5 vertices against every nonempty spec within
+    # {0..4}: 1,099 graphs x 31 specs = 34,069 decisions.
+    specs = [
+        FactorSpec(values)
+        for size in range(1, 6)
+        for values in itertools.combinations(range(5), size)
+    ]
+    decided = 0
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for spec in specs:
+                fast = h_factor_decide(g, spec)
+                slow = brute_force_h_factor(g, spec)
+                assert fast.verdict != INCONCLUSIVE
+                assert fast.exists == slow.exists, (g.n, g.edges, spec)
+                for dec in (fast, slow):
+                    if dec.exists:
+                        assert verify_factor(g, dec.certificate, spec)
+                decided += 1
+    assert decided == 34_069
 
 def test_brute_force_examples():
     assert brute_force_h_factor(cycle_graph(4), FactorSpec.of(1)).exists
