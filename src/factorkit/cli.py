@@ -251,6 +251,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _node_budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorkit",
@@ -276,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kr", type=int, help="expand to {k, r-k} using the input graph's regularity"
     )
     p_factor.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
-    p_factor.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p_factor.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
     p_factor.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="verify a theorem or a parity certificate")

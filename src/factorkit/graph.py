@@ -46,11 +46,13 @@ class Graph:
             canonical.append(edge)
         canonical.sort()
         object.__setattr__(self, "edges", tuple(canonical))
+        # Appending in canonical order builds each list ascending: v's smaller
+        # neighbours come from edges (u, v), which all sort before v's (v, w).
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in canonical:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
 
     @property
     def m(self) -> int:

@@ -5,9 +5,10 @@ edge joining two even-level vertices of the tree closes an odd cycle, which
 is contracted by rebasing every cycle vertex onto the lowest common ancestor
 of the two endpoints. O(V^3) worst case, entirely deterministic: vertices
 are scanned in increasing id and the tree is grown in FIFO order. Each
-search resets, marks and contracts only its own tree, so its work follows
-the tree, not n; contraction visits the tree in ascending id, the order of
-a full scan.
+search resets only its own tree, so its work follows the tree, not n. Each
+blossom base keeps the list of tree vertices it holds, so a contraction
+costs its blossom, not the tree (as in Gabow 1976); it rebases the members
+in ascending id, the order of a scan over the whole tree.
 """
 
 from __future__ import annotations
@@ -55,13 +56,16 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
             y = base[parent[mate[y]]]
         return y
 
-    def mark_path(v: int, stop: int, child: int) -> None:
+    def mark_path(v: int, stop: int, child: int, marked: list[int]) -> None:
+        # Marks and records each base on the path from v up to stop once.
         while base[v] != stop:
-            mark[base[v]] = stamp
-            mark[base[mate[v]]] = stamp
+            for b in (base[v], base[mate[v]]):
+                if mark[b] != stamp:
+                    mark[b] = stamp
+                    marked.append(b)
             parent[v] = child
             child = mate[v]
-            v = parent[mate[v]]
+            v = parent[child]
 
     def find_augmenting_path(root: int) -> int:
         nonlocal stamp
@@ -71,34 +75,41 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
             used[i] = False
         tree[:] = [root]
         used[root] = True
+        # held[b]: the tree vertices whose base is b, for each blossom base b;
+        # any other tree vertex is its own base and holds only itself.
+        held: dict[int, list[int]] = {}
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            mate_v = mate[v]
             for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
+                if base[v] == base[to] or mate_v == to:
                     continue
-                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                mate_to = mate[to]
+                if to == root or (mate_to != -1 and parent[mate_to] != -1):
                     # Both endpoints are even: contract the blossom, under a
                     # fresh stamp so lca's root-path marks are not read as its.
                     stop = lca(v, to)
                     stamp += 1
-                    mark_path(v, stop, to)
-                    mark_path(to, stop, v)
-                    tree.sort()
-                    for i in tree:
-                        if mark[base[i]] == stamp:
-                            base[i] = stop
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    marked: list[int] = []
+                    mark_path(v, stop, to, marked)
+                    mark_path(to, stop, v, marked)
+                    # Ascending id, the order of a scan over the whole tree.
+                    members = sorted([i for b in marked for i in held.pop(b, (b,))])
+                    for i in members:
+                        base[i] = stop
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+                    held.setdefault(stop, [stop]).extend(members)
                 elif parent[to] == -1:
                     parent[to] = v
                     tree.append(to)
-                    if mate[to] == -1:
+                    if mate_to == -1:
                         return to
-                    used[mate[to]] = True
-                    tree.append(mate[to])
-                    queue.append(mate[to])
+                    used[mate_to] = True
+                    tree.append(mate_to)
+                    queue.append(mate_to)
         return -1
 
     for v in range(n):

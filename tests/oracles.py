@@ -1,12 +1,16 @@
 """Independent brute-force oracles and tiny corpus builders for the tests.
 
-Everything here is deliberately naive: straight enumeration with no shared
-code paths into the solver, so agreement is meaningful evidence.
+The oracles are deliberately naive: straight enumeration with no shared
+code paths into the solver, so agreement is meaningful evidence. The one
+exception is `reference_maximum_matching`, a frozen earlier version of the
+matching that pins its exact search order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from typing import Sequence
 
 from factorkit.graph import Graph
 
@@ -93,3 +97,120 @@ def all_connected_graphs(max_n: int):
         for g in all_graphs(n):
             if is_connected(g):
                 yield g
+
+
+# The blossom matching before contraction became blossom-local, copied
+# unchanged apart from its name: each contraction sorts and scans the whole
+# search tree. Mates must agree with factorkit.matching list for list.
+def reference_maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+    """Return mate[v] for a maximum matching; -1 marks exposed vertices.
+
+    adj[v] lists the neighbors of v; the caller fixes the scan order (sorted
+    neighbor lists give the reference deterministic behavior).
+    """
+    mate = [-1] * n
+    # Greedy seed: cuts the number of augmentation phases substantially.
+    for v in range(n):
+        if mate[v] == -1:
+            for u in adj[v]:
+                if mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+
+    parent = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    # The current search's tree: the only vertices whose state is not reset.
+    tree: list[int] = []
+    # mark[v] == stamp flags v in the current lca walk or blossom.
+    mark = [0] * n
+    stamp = 0
+
+    def lca(a: int, b: int) -> int:
+        nonlocal stamp
+        stamp += 1
+        x = base[a]
+        while True:
+            mark[x] = stamp
+            if mate[x] == -1:
+                break
+            x = base[parent[mate[x]]]
+        y = base[b]
+        while mark[y] != stamp:
+            y = base[parent[mate[y]]]
+        return y
+
+    def mark_path(v: int, stop: int, child: int) -> None:
+        while base[v] != stop:
+            mark[base[v]] = stamp
+            mark[base[mate[v]]] = stamp
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def find_augmenting_path(root: int) -> int:
+        nonlocal stamp
+        for i in tree:
+            parent[i] = -1
+            base[i] = i
+            used[i] = False
+        tree[:] = [root]
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    # Both endpoints are even: contract the blossom, under a
+                    # fresh stamp so lca's root-path marks are not read as its.
+                    stop = lca(v, to)
+                    stamp += 1
+                    mark_path(v, stop, to)
+                    mark_path(to, stop, v)
+                    tree.sort()
+                    for i in tree:
+                        if mark[base[i]] == stamp:
+                            base[i] = stop
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    tree.append(to)
+                    if mate[to] == -1:
+                        return to
+                    used[mate[to]] = True
+                    tree.append(mate[to])
+                    queue.append(mate[to])
+        return -1
+
+    for v in range(n):
+        if mate[v] == -1:
+            end = find_augmenting_path(v)
+            while end != -1:
+                prev = parent[end]
+                next_end = mate[prev]
+                mate[end] = prev
+                mate[prev] = end
+                end = next_end
+    return mate
+
+
+def two_hub(triangles: int) -> Graph:
+    """Hubs u, v (the two highest ids) and eight odd components: `triangles`
+    triangles, each with one corner joined to u and another to v, and single
+    vertices joined to both hubs. Biconnected, with no {1,3}-factor."""
+    edges, attach, n = [], [], 0
+    for c in range(8):
+        if c < triangles:
+            edges += [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+            attach += [(0, n), (1, n + 1)]
+            n += 3
+        else:
+            attach += [(0, n), (1, n)]
+            n += 1
+    edges += [(n + h, w) for h, w in attach]
+    return Graph(n + 2, tuple(edges))

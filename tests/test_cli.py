@@ -116,6 +116,14 @@ def test_factor_budget_inconclusive(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_factor_negative_budget_is_usage_error(g1_path, capsys):
+    code = run(["factor", "check", "--kr", "1", "--in", g1_path, "--budget", "-3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget" in captured.err and "nonnegative" in captured.err
+
+
 def test_factor_batch_processes_each_line(tmp_path, capsys):
     path = write_g6(tmp_path, "batch.g6", complete_graph(4), complete_graph(5))
     code = run(["factor", "check", "--spec", "1", "--in", path, "--json"])

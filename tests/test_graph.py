@@ -55,6 +55,20 @@ def test_edges_canonicalized_and_equal():
     assert a.neighbors(2) == (0, 1)
 
 
+def test_neighbors_ascending_from_any_edge_order():
+    # The matching's deterministic scan order relies on ascending lists.
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        rng.shuffle(edges)
+        g = Graph(n, tuple(edges))
+        for v in range(n):
+            assert list(g.neighbors(v)) == sorted({u for e in edges if v in e for u in e} - {v})
+
+
 def test_regularity():
     assert regularity(cycle_graph(4)) == 2
     assert regularity(path_graph(3)) is None

@@ -6,12 +6,18 @@ import random
 import pytest
 
 from factorkit import solver
-from factorkit.constructions import build_g1
+from factorkit.constructions import build_g1, build_g2
 from factorkit.generators import circulant_graph
 from factorkit.graph import Graph
 from factorkit.matching import is_perfect, matching_size, maximum_matching
 
-from oracles import PETERSEN_EDGES, all_graphs, brute_max_matching_size
+from oracles import (
+    PETERSEN_EDGES,
+    all_graphs,
+    brute_max_matching_size,
+    reference_maximum_matching,
+    two_hub,
+)
 
 
 def adj_of(g: Graph) -> list:
@@ -103,6 +109,47 @@ def test_random_graphs_against_networkx(solver_matchings):
         mate = maximum_matching(g.n, adj_of(g))
         check_consistency(g, mate)
         assert matching_size(mate) == len(nx.max_weight_matching(G, maxcardinality=True))
+
+
+def test_mates_equal_reference_on_random_graphs():
+    # Whole mate lists, not sizes: blossom-local contraction must keep the
+    # tree-scanning search order exactly, with sorted or shuffled lists.
+    rng = random.Random(1965)
+    for trial in range(1000):
+        n = rng.randint(1, 80)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 4 * n)))))
+        adj = adj_of(g)
+        if trial % 2:
+            for neighbors in adj:
+                rng.shuffle(neighbors)
+        assert maximum_matching(n, adj) == reference_maximum_matching(n, adj), trial
+    for n in (201, 350, 600):
+        g = odd_cycle_graph(rng, n)
+        assert maximum_matching(n, adj_of(g)) == reference_maximum_matching(n, adj_of(g))
+
+
+def test_mates_equal_reference_on_gadgets(solver_matchings):
+    # Every gadget the solver builds for the paper's families and the
+    # biconnected two-hub graphs, under seeded degree targets of even sum:
+    # uniform in 0..d (thousands of blossoms, no perfect matching) and drawn
+    # from {1, d-1} as a {1, r-1} search does (some perfect).
+    rng = random.Random(1976)
+    graphs = [build_g1(r).graph for r in (6, 10, 14)]
+    graphs += [build_g2(r).graph for r in (8, 12)]
+    graphs += [two_hub(t) for t in (2, 3, 4, 5, 8)]
+    for g in graphs:
+        for draw in (0, 0, 0, 1, 1):
+            targets = [rng.choice((1, g.degree(v) - 1)) if draw else rng.randint(0, g.degree(v))
+                       for v in range(g.n)]
+            if sum(targets) % 2:
+                v = rng.randrange(g.n)
+                targets[v] += 1 if targets[v] < g.degree(v) else -1
+            solver._prescribed_factor_edges(g, targets)
+    assert len(solver_matchings) == 5 * len(graphs)
+    assert any(is_perfect(mate) for _, _, mate in solver_matchings)
+    for n, adj, mate in solver_matchings:
+        assert mate == reference_maximum_matching(n, adj)
 
 
 def test_petersen_has_perfect_matching():
