@@ -41,7 +41,6 @@ from .solver import (
 )
 from .theorems import (
     GallaiReport,
-    HubDecomposition,
     NoFactorCertificate,
     check_certificate,
     gallai_check,
@@ -59,7 +58,6 @@ __all__ = [
     "FactorSpec",
     "GallaiReport",
     "Graph",
-    "HubDecomposition",
     "NoFactorCertificate",
     "articulation_points",
     "brute_force_h_factor",

@@ -10,9 +10,11 @@ and, for suitable odd k, admit no spanning subgraph with all degrees in
 {k, r-k}: the blocks hang off the hubs by so few edges that parity pins the
 hub degrees to values outside the set.
 
-Vertex labeling is fixed: blocks occupy consecutive id ranges in order, each
-block's unsaturated pair first (offsets 0 and 1), hubs take the highest ids.
-Same input, byte-identical output, every run.
+Both families come from one builder that takes, per block, the hubs its two
+unsaturated vertices join. Vertex labeling is fixed: blocks occupy
+consecutive id ranges in order, each block's unsaturated pair first (offsets
+0 and 1), hubs take the highest ids. Same input, byte-identical output,
+every run.
 """
 
 from __future__ import annotations
@@ -107,6 +109,30 @@ def classify_case(r: int, k: int) -> CaseLabel:
     return CaseLabel.G2
 
 
+def _hub_family(r: int, family: str, attach: list[tuple[int, int]]) -> ConstructionOutput:
+    """Blocks of degree r in id order, block b's unsaturated pair joined to
+    the hubs attach[b] (0-based hub indices); the hubs take the highest ids."""
+    block = near_complete_block(r)
+    size = r + 1
+    hub_count = 1 + max(max(pair) for pair in attach)
+    n = len(attach) * size + hub_count
+    first_hub = n - hub_count
+    edges: list[tuple[int, int]] = []
+    ranges = []
+    for b, pair in enumerate(attach):
+        off = b * size
+        edges.extend((off + x, off + y) for x, y in block.graph.edges)
+        edges.extend((off + i, first_hub + hub) for i, hub in enumerate(pair))
+        ranges.append((off, off + size - 1, (off, off + 1)))
+    return ConstructionOutput(
+        graph=Graph(n, tuple(edges)),
+        hubs=tuple(range(first_hub, n)),
+        block_ranges=tuple(ranges),
+        family=family,
+        r=r,
+    )
+
+
 def build_g1(r: int) -> ConstructionOutput:
     """The single-hub family: r/2 near-complete blocks with one hub vertex
     adjacent to all r unsaturated vertices. Requires even r >= 6 with r/2
@@ -115,26 +141,7 @@ def build_g1(r: int) -> ConstructionOutput:
         raise ValueError(
             f"the single-hub family needs even r >= 6 with r/2 odd, got {r}"
         )
-    block = near_complete_block(r)
-    blocks = r // 2
-    size = r + 1
-    n = blocks * size + 1
-    hub = n - 1
-    edges: list[tuple[int, int]] = []
-    ranges = []
-    for b in range(blocks):
-        off = b * size
-        edges.extend((off + u, off + v) for u, v in block.graph.edges)
-        edges.append((off, hub))
-        edges.append((off + 1, hub))
-        ranges.append((off, off + size - 1, (off, off + 1)))
-    return ConstructionOutput(
-        graph=Graph(n, tuple(edges)),
-        hubs=(hub,),
-        block_ranges=tuple(ranges),
-        family="G1",
-        r=r,
-    )
+    return _hub_family(r, "G1", [(0, 0)] * (r // 2))
 
 
 def build_g2(r: int) -> ConstructionOutput:
@@ -148,31 +155,5 @@ def build_g2(r: int) -> ConstructionOutput:
         raise ValueError(
             f"the two-hub family needs even r >= 8 with r/2 even, got {r}"
         )
-    block = near_complete_block(r)
-    size = r + 1
-    n = r * size + 2
-    u_hub = n - 2
-    v_hub = n - 1
     half = r // 2
-    edges: list[tuple[int, int]] = []
-    ranges = []
-    for b in range(r):
-        off = b * size
-        edges.extend((off + x, off + y) for x, y in block.graph.edges)
-        ranges.append((off, off + size - 1, (off, off + 1)))
-        if b <= half - 2:
-            edges.append((off, u_hub))
-            edges.append((off + 1, u_hub))
-        elif b <= r - 3:
-            edges.append((off, v_hub))
-            edges.append((off + 1, v_hub))
-        else:
-            edges.append((off, u_hub))
-            edges.append((off + 1, v_hub))
-    return ConstructionOutput(
-        graph=Graph(n, tuple(edges)),
-        hubs=(u_hub, v_hub),
-        block_ranges=tuple(ranges),
-        family="G2",
-        r=r,
-    )
+    return _hub_family(r, "G2", [(0, 0)] * (half - 1) + [(1, 1)] * (half - 1) + [(0, 1)] * 2)

@@ -94,9 +94,12 @@ def regularity(g: Graph) -> int | None:
     return r if all(d == r for d in degs) else None
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
+def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[list[int]]:
+    """Connected components of g minus the removed vertices, in g's own ids,
+    as sorted vertex lists ordered by least vertex."""
     seen = [False] * g.n
+    for v in removed:
+        seen[v] = True
     comps: list[list[int]] = []
     for start in range(g.n):
         if seen[start]:

@@ -257,9 +257,8 @@ def _split(piece: _Piece, state: _SearchState) -> None:
     if not cuts:
         return
     cut = piece.cut = cuts[0]
-    rest, rest_order = induced_subgraph(g, [v for v in range(g.n) if v != cut])
-    for comp in connected_components(rest):
-        side, order = induced_subgraph(g, [rest_order[i] for i in comp])
+    for comp in connected_components(g, (cut,)):
+        side, order = induced_subgraph(g, comp)
         cross = [i for i, v in enumerate(order) if g.has_edge(cut, v)]
         piece.sides.append((state.piece(side), order, cross))
 
@@ -406,7 +405,10 @@ def h_factor_decide(
     """Exact decision: does g have a spanning subgraph with every vertex
     degree in spec? The search space is the set of per-vertex assignments
     drawn from spec, pruned by parity and cut-vertex decomposition; NotExists
-    means that space was provably exhausted."""
+    means that space was provably exhausted. A negative budget is a
+    ValueError."""
+    if budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {budget}")
     if spec.all_odd():
         # Handshake: a component of odd order cannot have all degrees odd.
         for comp in connected_components(g):

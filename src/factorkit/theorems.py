@@ -9,8 +9,9 @@ behind the negative results: when a hub set carries odd-order components and
 only odd degrees are allowed, every component must send an odd number of
 factor edges into the hubs, which pins each hub's achievable factor degree
 to a small set computable from edge counts alone. If that set misses the
-allowed degrees for some hub, no factor exists -- and the certificate can be
-re-checked without re-running any search.
+allowed degrees for some hub, no factor exists. The certificate is one flat
+record, and check_certificate confirms it by deriving it again from the
+graph, hubs and spec and comparing, without any factor search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, connected_components, edge_connectivity, induced_subgraph, is_connected, regularity
+from .graph import Graph, connected_components, edge_connectivity, is_connected, regularity
 from .solver import INCONCLUSIVE, FactorSpec, h_factor_decide
 
 
@@ -105,84 +106,53 @@ def verify_theorem2(g: Graph) -> bool:
 
 
 @dataclass(frozen=True)
-class HubDecomposition:
-    """A hub vertex set together with the components of the rest of the graph
-    and the number of graph edges between each component and each hub."""
+class NoFactorCertificate:
+    """A machine-checkable parity argument that no factor exists.
+
+    hubs are sorted vertex ids; components are the components of the graph
+    minus the hubs, each of odd order; cross_edges[i][j] counts the graph
+    edges between component i and hub j. achievable_hub_degrees (aligned
+    with hubs) follows from those counts and the spec alone, since each
+    component must send an odd number of factor edges into the hubs.
+    conclusion is True when some hub's achievable set misses every allowed
+    degree, which rules the factor out without any search.
+    """
 
     hubs: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
     cross_edges: tuple[tuple[int, ...], ...]  # [component][hub index]
-
-
-@dataclass(frozen=True)
-class NoFactorCertificate:
-    """A machine-checkable parity argument that no factor exists.
-
-    component_parities records the required parity of factor edges leaving
-    each component (always odd under the hypotheses: odd-order component,
-    odd allowed degrees); achievable_hub_degrees is computed from cross-edge
-    counts and those parity constraints alone. conclusion is True when some
-    hub's achievable set misses every allowed degree, which rules the factor
-    out without any search.
-    """
-
-    decomposition: HubDecomposition
     spec: FactorSpec
-    component_parities: tuple[int, ...]
-    achievable_hub_degrees: tuple[tuple[int, ...], ...]  # aligned with hubs
+    achievable_hub_degrees: tuple[tuple[int, ...], ...]
     conclusion: bool
 
     def to_json_dict(self) -> dict:
         return {
-            "hubs": list(self.decomposition.hubs),
-            "components": [list(c) for c in self.decomposition.components],
-            "cross_edges": [list(row) for row in self.decomposition.cross_edges],
+            "hubs": list(self.hubs),
+            "components": [list(c) for c in self.components],
+            "cross_edges": [list(row) for row in self.cross_edges],
             "spec": list(self.spec.allowed),
             "achievable": {
-                str(h): list(degs)
-                for h, degs in zip(self.decomposition.hubs, self.achievable_hub_degrees)
+                str(h): list(degs) for h, degs in zip(self.hubs, self.achievable_hub_degrees)
             },
             "conclusion": self.conclusion,
         }
 
 
-def _decompose_at_hubs(g: Graph, hubs: tuple[int, ...]) -> HubDecomposition:
-    hub_set = set(hubs)
-    rest = [v for v in range(g.n) if v not in hub_set]
-    sub, order = induced_subgraph(g, rest)
-    components = tuple(
-        tuple(order[i] for i in comp) for comp in connected_components(sub)
-    )
-    cross = []
-    for comp in components:
-        comp_set = set(comp)
-        row = []
-        for h in hubs:
-            row.append(sum(1 for w in g.neighbors(h) if w in comp_set))
-        cross.append(tuple(row))
-    return HubDecomposition(hubs, components, tuple(cross))
-
-
 def _achievable_hub_degrees(
-    decomposition: HubDecomposition, g: Graph
+    g: Graph, hubs: tuple[int, ...], cross_edges: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Per hub, every factor degree consistent with the parity constraints:
     each component contributes some split of an odd total across the hubs,
     bounded by the available cross edges; edges between hubs may contribute
     freely. Exhaustive over per-component contributions (Minkowski sums)."""
-    hubs = decomposition.hubs
     hub_set = set(hubs)
     result = []
     for j, h in enumerate(hubs):
         contributions: set[int] = {0}
-        for row in decomposition.cross_edges:
+        for row in cross_edges:
             here = row[j]
             elsewhere = sum(row) - here
-            options = [
-                t
-                for t in range(here + 1)
-                if t % 2 == 1 or (t % 2 == 0 and elsewhere >= 1)
-            ]
+            options = [t for t in range(here + 1) if t % 2 == 1 or elsewhere >= 1]
             contributions = {c + t for c in contributions for t in options}
         hub_hub = sum(1 for w in g.neighbors(h) if w in hub_set)
         result.append(
@@ -211,49 +181,27 @@ def hub_parity_analysis(
             raise ValueError(f"hub {h} is not a vertex of the graph")
     if not spec.all_odd():
         return None
-    decomposition = _decompose_at_hubs(g, hubs)
-    if any(len(comp) % 2 == 0 for comp in decomposition.components):
+    components = tuple(tuple(comp) for comp in connected_components(g, hubs))
+    if any(len(comp) % 2 == 0 for comp in components):
         return None
-    achievable = _achievable_hub_degrees(decomposition, g)
+    cross = []
+    for comp in components:
+        comp_set = set(comp)
+        cross.append(tuple(sum(1 for w in g.neighbors(h) if w in comp_set) for h in hubs))
+    cross_edges = tuple(cross)
+    achievable = _achievable_hub_degrees(g, hubs, cross_edges)
     allowed = set(spec.allowed)
     conclusion = any(not (set(degs) & allowed) for degs in achievable)
-    return NoFactorCertificate(
-        decomposition=decomposition,
-        spec=spec,
-        component_parities=(1,) * len(decomposition.components),
-        achievable_hub_degrees=achievable,
-        conclusion=conclusion,
-    )
+    return NoFactorCertificate(hubs, components, cross_edges, spec, achievable, conclusion)
 
 
 def check_certificate(g: Graph, cert: NoFactorCertificate) -> bool:
-    """Re-derive every field of a nonexistence certificate from the graph
-    alone and confirm it; no factor search is run. False on any mismatch or
-    structural defect, True only when every field -- the recorded conclusion
-    included -- survives re-derivation."""
+    """Confirm a nonexistence certificate by deriving it again from the graph,
+    its hubs and its spec, and comparing; no factor search is run. Any
+    changed field, unsorted or duplicate hubs (the derivation sorts and
+    dedupes them), or failed hypothesis makes it False."""
     try:
-        hubs = cert.decomposition.hubs
-        if not hubs or len(set(hubs)) != len(hubs) or list(hubs) != sorted(hubs):
-            return False
-        if any(not 0 <= h < g.n for h in hubs):
-            return False
-        if not cert.spec.all_odd():
-            return False
-        fresh = _decompose_at_hubs(g, hubs)
-        if fresh.components != cert.decomposition.components:
-            return False
-        if fresh.cross_edges != cert.decomposition.cross_edges:
-            return False
-        if any(len(comp) % 2 == 0 for comp in fresh.components):
-            return False
-        if cert.component_parities != (1,) * len(fresh.components):
-            return False
-        achievable = _achievable_hub_degrees(fresh, g)
-        if achievable != cert.achievable_hub_degrees:
-            return False
-        allowed = set(cert.spec.allowed)
-        conclusion = any(not (set(degs) & allowed) for degs in achievable)
-        return conclusion == cert.conclusion
+        return hub_parity_analysis(g, cert.hubs, cert.spec) == cert
     except (ValueError, IndexError, TypeError):
         return False
 
@@ -261,15 +209,13 @@ def check_certificate(g: Graph, cert: NoFactorCertificate) -> bool:
 def certificate_from_json(payload: dict) -> NoFactorCertificate:
     """Rebuild a certificate from its JSON form (inverse of to_json_dict)."""
     hubs = tuple(int(h) for h in payload["hubs"])
-    components = tuple(tuple(int(v) for v in comp) for comp in payload["components"])
-    cross = tuple(tuple(int(c) for c in row) for row in payload["cross_edges"])
-    achievable = tuple(
-        tuple(int(d) for d in payload["achievable"][str(h)]) for h in hubs
-    )
     return NoFactorCertificate(
-        decomposition=HubDecomposition(hubs, components, cross),
+        hubs=hubs,
+        components=tuple(tuple(int(v) for v in comp) for comp in payload["components"]),
+        cross_edges=tuple(tuple(int(c) for c in row) for row in payload["cross_edges"]),
         spec=FactorSpec(tuple(payload["spec"])),
-        component_parities=(1,) * len(components),
-        achievable_hub_degrees=achievable,
+        achievable_hub_degrees=tuple(
+            tuple(int(d) for d in payload["achievable"][str(h)]) for h in hubs
+        ),
         conclusion=bool(payload["conclusion"]),
     )

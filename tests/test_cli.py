@@ -59,6 +59,39 @@ def test_gen_descriptor(tmp_path):
     assert desc["family"] == "G1" and desc["hubs"] == [21]
 
 
+def test_gen_families_pinned(tmp_path):
+    # sha256 over graph6 lines and descriptors, taken when G1 and G2 still
+    # had separate builders.
+    gpath, dpath = tmp_path / "g.g6", tmp_path / "g.json"
+    digest = hashlib.sha256()
+    for family, degrees in (("g1", (6, 10, 14, 18)), ("g2", (8, 12, 16))):
+        for r in degrees:
+            args = ["gen", family, "--r", str(r), "--out", str(gpath), "--descriptor", str(dpath)]
+            assert run(args) == 0
+            digest.update(gpath.read_bytes())
+            digest.update(dpath.read_bytes())
+    assert digest.hexdigest() == (
+        "f990b0d5b5aefd5e217b84b1dc5be83a745ee6f7bb1a582f86d69ccefeffac2e"
+    )
+
+
+def test_verify_no_factor_reports_pinned(tmp_path, monkeypatch, capsys):
+    # sha256 over the JSON reports without wall_time_s, taken when the
+    # certificate still nested a separate decomposition record.
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for family, r, hubs in (("g1", 6, "21"), ("g2", 8, "72,73")):
+        assert run(["gen", family, "--r", str(r), "--out", "g.g6"]) == 0
+        args = ["verify", "no-factor", "--in", "g.g6", "--hubs", hubs, "--k", "1", "--json"]
+        assert run(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_time_s"]
+        lines.append(json.dumps(report, sort_keys=True))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "0253565e0bd306c36e6b51680ab397ff8ed5eafbafc48cb69fd6613af25a9149"
+    )
+
+
 def test_gen_bad_r_is_usage_error(capsys):
     assert run(["gen", "g1", "--r", "8"]) == 2
     assert "r/2 odd" in capsys.readouterr().err

@@ -98,6 +98,31 @@ def test_is_connected():
     assert len(connected_components(two_triangles)) == 2
 
 
+def test_components_after_removal_match_induce_and_map_back():
+    # Reference: the route connected_components(g, removed) replaces --
+    # induce g minus the removed set, take its components, map the ids back.
+    def induce_and_map_back(g, removed):
+        sub, order = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+        return [[order[i] for i in comp] for comp in connected_components(sub)]
+
+    rng = random.Random(2718)
+    for trial in range(300):
+        n = rng.randint(0, 30)
+        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)), rng)
+        if trial % 3 == 0:
+            removed = set()
+        elif trial % 3 == 1:
+            removed = set(range(n)) if trial % 2 else set(rng.sample(range(n), n // 3))
+        else:
+            removed = set(rng.sample(range(n), rng.randint(0, n)))
+        got = connected_components(g, sorted(removed, reverse=True))
+        assert got == induce_and_map_back(g, removed), (n, g.edges, removed)
+        if not removed:
+            assert got == connected_components(g)
+        if len(removed) == n:
+            assert got == []
+
+
 def test_edge_connectivity_known_values():
     assert edge_connectivity(cycle_graph(4)) == 2
     assert edge_connectivity(complete_graph(5)) == 4

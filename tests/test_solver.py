@@ -154,6 +154,12 @@ def test_h_factor_budget_is_honest():
     assert full.verdict in (EXISTS, NOT_EXISTS)
 
 
+def test_h_factor_negative_budget_is_an_error():
+    g = build_g1(6).graph
+    with pytest.raises(ValueError, match="budget"):
+        h_factor_decide(g, FactorSpec.of(1, 5), budget=-1)
+
+
 def test_h_factor_matches_brute_force_on_random_corpus():
     rng = random.Random(90210)
     specs = [FactorSpec.of(1), FactorSpec.of(2), FactorSpec.of(1, 3), FactorSpec.of(1, 2)]

@@ -93,9 +93,8 @@ def test_hub_parity_g1():
     assert cert is not None
     assert cert.achievable_hub_degrees == ((3,),)
     assert cert.conclusion
-    assert cert.component_parities == (1, 1, 1)
-    assert len(cert.decomposition.components) == 3
-    assert all(row == (2,) for row in cert.decomposition.cross_edges)
+    assert len(cert.components) == 3
+    assert all(row == (2,) for row in cert.cross_edges)
 
 
 def test_hub_parity_g1_all_covered_k():
@@ -136,7 +135,7 @@ def test_hub_parity_g2_joint_degrees_sum_to_r():
         out = build_g2(r)
         cert = hub_parity_analysis(out.graph, out.hubs, FactorSpec.complementary(1, r))
         joint = {(0, 0)}
-        for cu, cv in cert.decomposition.cross_edges:
+        for cu, cv in cert.cross_edges:
             options = [
                 (tu, tv)
                 for tu in range(cu + 1)
@@ -208,14 +207,11 @@ def test_check_certificate_rejects_tampering():
     tampered_spec = dataclasses.replace(cert, spec=FactorSpec.of(3))
     assert not check_certificate(out.graph, tampered_spec)
 
-    merged = cert.decomposition.components[0] + cert.decomposition.components[1]
+    merged = cert.components[0] + cert.components[1]
     broken_decomp = dataclasses.replace(
         cert,
-        decomposition=dataclasses.replace(
-            cert.decomposition,
-            components=(merged,) + cert.decomposition.components[2:],
-            cross_edges=((4,),) + cert.decomposition.cross_edges[2:],
-        ),
+        components=(merged,) + cert.components[2:],
+        cross_edges=((4,),) + cert.cross_edges[2:],
     )
     assert not check_certificate(out.graph, broken_decomp)
 
@@ -225,18 +221,20 @@ def test_check_certificate_rejects_tampering():
     wrong_conclusion = dataclasses.replace(cert, conclusion=False)
     assert not check_certificate(out.graph, wrong_conclusion)
 
-    wrong_counts = dataclasses.replace(
-        cert,
-        decomposition=dataclasses.replace(
-            cert.decomposition, cross_edges=((1,), (2,), (2,))
-        ),
-    )
+    wrong_counts = dataclasses.replace(cert, cross_edges=((1,), (2,), (2,)))
     assert not check_certificate(out.graph, wrong_counts)
 
-    bad_hubs = dataclasses.replace(
-        cert, decomposition=dataclasses.replace(cert.decomposition, hubs=(99,))
-    )
+    bad_hubs = dataclasses.replace(cert, hubs=(99,))
     assert not check_certificate(out.graph, bad_hubs)
+
+
+def test_check_certificate_rejects_malformed_hubs_and_spec():
+    out = build_g2(8)
+    cert = hub_parity_analysis(out.graph, out.hubs, FactorSpec.of(1, 7))
+    assert cert.hubs == (72, 73) and check_certificate(out.graph, cert)
+    for hubs in ((73, 72), (72, 72, 73), ()):
+        assert not check_certificate(out.graph, dataclasses.replace(cert, hubs=hubs)), hubs
+    assert not check_certificate(out.graph, dataclasses.replace(cert, spec=FactorSpec.of(1, 2)))
 
 
 def test_certificate_json_roundtrip():
