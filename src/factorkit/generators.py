@@ -57,6 +57,8 @@ def random_regular_graph(
     Retries until the paired stubs give a simple graph (and a connected one
     when requested); n * r must be even.
     """
+    if r < 0:
+        raise ValueError(f"degree must be nonnegative, got r={r}")
     if (n * r) % 2 == 1:
         raise ValueError(f"no {r}-regular graph on {n} vertices: n*r is odd")
     if r >= n:

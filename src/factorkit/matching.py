@@ -1,4 +1,4 @@
-"""Maximum cardinality matching in general graphs (blossom contraction).
+"""Maximum and perfect matching in general graphs (blossom contraction).
 
 The algorithm grows an alternating BFS tree from each exposed vertex; an
 edge joining two even-level vertices of the tree closes an odd cycle, which
@@ -9,6 +9,11 @@ search resets only its own tree, so its work follows the tree, not n. Each
 blossom base keeps the list of tree vertices it holds, so a contraction
 costs its blossom, not the tree (as in Gabow 1976); it rebases the members
 in ascending id, the order of a scan over the whole tree.
+
+`perfect_matching` stops at the first root whose search fails, since that
+vertex stays exposed in every later matching (Edmonds 1965); the failed
+tree's odd vertices outside any blossom form a Tutte barrier (Lovasz and
+Plummer, Matching Theory, ch. 3), which `check_barrier` recounts by BFS.
 """
 
 from __future__ import annotations
@@ -23,6 +28,18 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     adj[v] lists the neighbors of v; the caller fixes the scan order (sorted
     neighbor lists give the reference deterministic behavior).
     """
+    return _match(n, adj, False)[0]
+
+
+def perfect_matching(n: int, adj: Sequence[Sequence[int]]) -> tuple[list[int] | None, list[int] | None]:
+    """(mate, None) for a perfect matching, else (None, barrier): a sorted
+    Tutte barrier A, whose removal leaves more than |A| odd components.
+    No search fails when a perfect matching exists, so mate is then
+    maximum_matching's."""
+    return _match(n, adj, True)
+
+
+def _match(n: int, adj: Sequence[Sequence[int]], stop_on_failure: bool):
     mate = [-1] * n
     # Greedy seed: cuts the number of augmentation phases substantially.
     for v in range(n):
@@ -115,13 +132,37 @@ def maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     for v in range(n):
         if mate[v] == -1:
             end = find_augmenting_path(v)
+            if end == -1 and stop_on_failure:
+                return None, sorted(i for i in tree if not used[i])
             while end != -1:
                 prev = parent[end]
                 next_end = mate[prev]
                 mate[end] = prev
                 mate[prev] = end
                 end = next_end
-    return mate
+    return mate, None
+
+
+def check_barrier(n: int, adj: Sequence[Sequence[int]], barrier: Sequence[int]) -> bool:
+    """True iff barrier holds distinct vertices whose removal leaves more
+    odd components than it has vertices (so no perfect matching exists)."""
+    seen = [False] * n
+    for a in barrier:
+        if not 0 <= a < n or seen[a]:
+            return False
+        seen[a] = True
+    odd = 0
+    for s in range(n):
+        if not seen[s]:
+            seen[s] = True
+            component = [s]
+            for v in component:
+                for u in adj[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        component.append(u)
+            odd += len(component) % 2
+    return odd > len(barrier)
 
 
 def matching_size(mate: Sequence[int]) -> int:

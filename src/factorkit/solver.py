@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Sequence
 
 from .graph import Graph, articulation_points, connected_components, induced_subgraph, regularity
-from .matching import maximum_matching
+from .matching import perfect_matching
 
 EXISTS = "exists"
 NOT_EXISTS = "not-exists"
@@ -174,8 +174,8 @@ def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ..
                 adj[c].append(e)
                 adj[e].append(c)
     # Every list is built ascending (an endpoint's partner precedes all cores).
-    mate = maximum_matching(total, adj)
-    if any(u == -1 for u in mate):
+    mate, _ = perfect_matching(total, adj)
+    if mate is None:
         return None
     return tuple(
         g.edges[idx] for idx in range(g.m) if mate[2 * idx] == 2 * idx + 1
@@ -501,8 +501,8 @@ def _extract_two_factor(n: int, edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
     for u, v in arcs:
         adj[u].append(n + v)
         adj[n + v].append(u)
-    mate = maximum_matching(2 * n, [sorted(a) for a in adj])
-    if any(u == -1 for u in mate):
+    mate, _ = perfect_matching(2 * n, [sorted(a) for a in adj])
+    if mate is None:
         raise AssertionError("internal error: regular bipartite double lost its matching")
     chosen = []
     for v in range(n):

@@ -52,6 +52,9 @@ def test_random_regular_graph():
         random_regular_graph(7, 3, rng)  # odd n * r
     with pytest.raises(ValueError):
         random_regular_graph(4, 4, rng)  # r >= n
+    for connected in (False, True):
+        with pytest.raises(ValueError):
+            random_regular_graph(4, -2, random.Random(1), require_connected=connected)
 
 
 def test_random_generators_are_seed_deterministic():

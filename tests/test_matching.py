@@ -9,7 +9,14 @@ from factorkit import solver
 from factorkit.constructions import build_g1, build_g2
 from factorkit.generators import circulant_graph
 from factorkit.graph import Graph
-from factorkit.matching import is_perfect, matching_size, maximum_matching
+from factorkit.matching import (
+    check_barrier,
+    is_perfect,
+    matching_size,
+    maximum_matching,
+    perfect_matching,
+)
+from factorkit.solver import FactorSpec, h_factor_decide
 
 from oracles import (
     PETERSEN_EDGES,
@@ -71,17 +78,39 @@ def odd_cycle_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def random_adjacencies(rng: random.Random, count: int, max_n: int):
+    """(n, adj) of `count` seeded random graphs on 1..max_n vertices with up
+    to 4n edges; every other one has its neighbor lists shuffled."""
+    for trial in range(count):
+        n = rng.randint(1, max_n)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 4 * n)))))
+        adj = adj_of(g)
+        if trial % 2:
+            for neighbors in adj:
+                rng.shuffle(neighbors)
+        yield n, adj
+
+
 @pytest.fixture
 def solver_matchings(monkeypatch):
-    """(n, adj, mate) of every matching the solver runs, in call order."""
+    """(n, adj, mate) of every matching the solver runs, in call order, with
+    mate from maximum_matching. The solver's perfect_matching must return
+    that mate when it is perfect, and None with a barrier that check_barrier
+    accepts exactly when it is not."""
     calls = []
 
     def spy(n, adj):
         mate = maximum_matching(n, adj)
         calls.append((n, adj, mate))
-        return mate
+        found, barrier = perfect_matching(n, adj)
+        if is_perfect(mate):
+            assert (found, barrier) == (mate, None)
+        else:
+            assert found is None and check_barrier(n, adj, barrier)
+        return found, barrier
 
-    monkeypatch.setattr(solver, "maximum_matching", spy)
+    monkeypatch.setattr(solver, "perfect_matching", spy)
     return calls
 
 
@@ -115,18 +144,67 @@ def test_mates_equal_reference_on_random_graphs():
     # Whole mate lists, not sizes: blossom-local contraction must keep the
     # tree-scanning search order exactly, with sorted or shuffled lists.
     rng = random.Random(1965)
-    for trial in range(1000):
-        n = rng.randint(1, 80)
-        pairs = list(itertools.combinations(range(n), 2))
-        g = Graph(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 4 * n)))))
-        adj = adj_of(g)
-        if trial % 2:
-            for neighbors in adj:
-                rng.shuffle(neighbors)
+    for trial, (n, adj) in enumerate(random_adjacencies(rng, 1000, 80)):
         assert maximum_matching(n, adj) == reference_maximum_matching(n, adj), trial
     for n in (201, 350, 600):
         g = odd_cycle_graph(rng, n)
         assert maximum_matching(n, adj_of(g)) == reference_maximum_matching(n, adj_of(g))
+
+
+def test_perfect_mates_equal_reference_on_random_graphs():
+    # The graphs above: the early stop changes nothing when the matching is
+    # perfect, and answers None with a barrier exactly when it is not.
+    perfect = 0
+    for trial, (n, adj) in enumerate(random_adjacencies(random.Random(1965), 1000, 80)):
+        mate = reference_maximum_matching(n, adj)
+        found, barrier = perfect_matching(n, adj)
+        if is_perfect(mate):
+            perfect += 1
+            assert (found, barrier) == (mate, None), trial
+        else:
+            assert found is None and check_barrier(n, adj, barrier), trial
+    assert 0 < perfect < 1000
+
+
+def test_barriers_hold_on_random_graphs():
+    perfect = 0
+    for trial, (n, adj) in enumerate(random_adjacencies(random.Random(1947), 3000, 60)):
+        mate, barrier = perfect_matching(n, adj)
+        if barrier is None:
+            perfect += 1
+            assert all(mate[v] in adj[v] and mate[mate[v]] == v for v in range(n)), trial
+        else:
+            assert mate is None and check_barrier(n, adj, barrier), trial
+    assert 0 < perfect < 3000
+
+
+def test_barriers_hold_on_two_hub_gadgets(solver_matchings):
+    # The spy checks the barrier of every gadget the {1,3} search builds on
+    # the biconnected two-hub graphs; none has a perfect matching.
+    for t in (2, 3, 4, 5):
+        assert h_factor_decide(two_hub(t), FactorSpec.of(1, 3)).verdict == solver.NOT_EXISTS
+    assert len(solver_matchings) == 5440
+    assert not any(is_perfect(mate) for _, _, mate in solver_matchings)
+
+
+def test_check_barrier_rejects_altered_barriers():
+    star = [[1, 2, 3], [0], [0], [0]]
+    k24 = [[2, 3, 4, 5], [2, 3, 4, 5], [0, 1], [0, 1], [0, 1], [0, 1]]
+    assert perfect_matching(4, star) == (None, [0])
+    assert perfect_matching(6, k24) == (None, [0, 1])
+    assert check_barrier(4, star, [0]) and check_barrier(6, k24, [0, 1])
+    for n, adj, barrier in [
+        (4, star, []),            # a vertex dropped
+        (6, k24, [0]),
+        (4, star, [0, 1]),        # a vertex added
+        (6, k24, [0, 1, 2]),
+        (4, star, [0, 0]),        # a duplicate
+        (6, k24, [0, 1, 1]),
+        (4, star, [4]),           # out of range
+        (4, star, [-1]),
+        (6, k24, [0, 6]),
+    ]:
+        assert not check_barrier(n, adj, barrier), (n, barrier)
 
 
 def test_mates_equal_reference_on_gadgets(solver_matchings):
