@@ -246,7 +246,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         graphs = gio.read_graphs(text, args.src)
     except ValueError as exc:
         raise CliError(f"malformed {args.src} input: {exc}") from exc
-    out = "".join(gio.write_graph(g, args.dst) for g in graphs)
+    try:
+        out = "".join(gio.write_graph(g, args.dst) for g in graphs)
+    except ValueError as exc:
+        raise CliError(f"cannot convert to {args.dst}: {exc}") from exc
     _write_text(args.out, out)
     return EXIT_OK
 

@@ -63,6 +63,8 @@ def random_regular_graph(
         raise ValueError(f"no {r}-regular graph on {n} vertices: n*r is odd")
     if r >= n:
         raise ValueError(f"need r < n for a simple graph, got r={r}, n={n}")
+    if require_connected and r < 2 and n > r + 1:
+        raise ValueError(f"no connected {r}-regular graph has {n} vertices")
     for _ in range(10000):
         stubs = [v for v in range(n) for _ in range(r)]
         rng.shuffle(stubs)

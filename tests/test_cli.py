@@ -309,6 +309,15 @@ def test_convert_malformed(tmp_path, capsys):
                 "--in", str(path)]) == 2
 
 
+def test_convert_too_large_for_graph6(tmp_path, capsys):
+    path = tmp_path / "big.dimacs"
+    path.write_text("p edge 258048 0\n")
+    assert run(["convert", "--from", "dimacs", "--to", "graph6", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["factor", "check"]) == 2  # missing --spec/--kr
     assert run(["nonsense"]) == 2

@@ -55,6 +55,14 @@ def test_random_regular_graph():
     for connected in (False, True):
         with pytest.raises(ValueError):
             random_regular_graph(4, -2, random.Random(1), require_connected=connected)
+    # No connected graph is 0- or 1-regular beyond K1 and K2.
+    for n, r in ((4, 0), (6, 1), (3, 0)):
+        with pytest.raises(ValueError, match="connected"):
+            random_regular_graph(n, r, random.Random(1))
+        assert regularity(random_regular_graph(n, r, random.Random(1), require_connected=False)) == r
+    for n, r in ((1, 0), (2, 1)):
+        g = random_regular_graph(n, r, random.Random(1))
+        assert g.n == n and regularity(g) == r and is_connected(g)
 
 
 def test_random_generators_are_seed_deterministic():

@@ -294,7 +294,7 @@ def test_mates_pinned_on_gadgets(solver_matchings, g, alternate, size, pinned, e
 
 def test_mates_pinned_on_bipartite_double(solver_matchings):
     g = circulant_graph(120, (1, 11, 37))
-    two_factor = solver._extract_two_factor(g.n, g.edges)
+    two_factor = next(solver._two_factors(g, 1))
     mates = [mate for _, _, mate in solver_matchings]
     assert [len(mate) for mate in mates] == [240]
     assert digest(mates) == "51a5cb32f4f2bd72d9bdbdd5ad7753d4b03ded683b22918872f5d22d4eb1f324"

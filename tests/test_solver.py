@@ -325,13 +325,22 @@ def test_decompose_two_factors_examples():
         assert verify_factor(k5, f, FactorSpec.of(2))
 
 
+# The benchmark's circulants (r = 6, 8, 10).
+LARGE_CIRCULANTS = [
+    circulant_graph(120, (1, 11, 37)),
+    circulant_graph(200, (1, 9, 43, 77)),
+    circulant_graph(300, (1, 13, 47, 89, 121)),
+]
+
+
 def test_decompose_two_factors_circulant_and_random():
     rng = random.Random(5150)
-    hosts = [circulant_graph(8, (1, 2, 3))]
+    hosts = [circulant_graph(8, (1, 2, 3)), complete_graph(9)] + LARGE_CIRCULANTS
     hosts += [random_regular_graph(rng.randint(8, 12), 4, rng) for _ in range(10)]
     for g in hosts:
+        r = len(g.neighbors(0))
         factors = decompose_two_factors(g)
-        assert len(factors) == len(g.neighbors(0)) // 2
+        assert len(factors) == r // 2
         union = set()
         total = 0
         for f in factors:
@@ -339,6 +348,27 @@ def test_decompose_two_factors_circulant_and_random():
             union |= set(f)
             total += len(f)
         assert union == set(g.edges) and total == g.m
+        # An even k-factor is the union of the first k/2 peeled 2-factors.
+        for k in range(0, r + 1, 2):
+            cert = even_k_factor(g, k)
+            assert verify_factor(g, cert, FactorSpec.of(k))
+            assert set(cert) == set().union(*factors[: k // 2])
+
+
+def test_two_factors_orient_once(monkeypatch):
+    calls = []
+    orient = solver._euler_orientation
+
+    def spy(n, edges):
+        calls.append(n)
+        return orient(n, edges)
+
+    monkeypatch.setattr(solver, "_euler_orientation", spy)
+    g = LARGE_CIRCULANTS[-1]
+    assert len(decompose_two_factors(g)) == 5
+    assert len(calls) == 1
+    assert verify_factor(g, even_k_factor(g, 8), FactorSpec.of(8))
+    assert len(calls) == 2
 
 
 def test_decompose_handles_disconnected_hosts():
