@@ -45,11 +45,23 @@ class Graph:
             seen.add(edge)
             canonical.append(edge)
         canonical.sort()
-        object.__setattr__(self, "edges", tuple(canonical))
+        self._freeze(tuple(canonical))
+
+    @classmethod
+    def _canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+        """A graph from edges already canonical (sorted, u < v, in range, no
+        repeats), as derived inside the package: no re-validation."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        g._freeze(edges)
+        return g
+
+    def _freeze(self, edges: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "edges", edges)
         # Appending in canonical order builds each list ascending: v's smaller
         # neighbours come from edges (u, v), which all sort before v's (v, w).
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in canonical:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
@@ -197,7 +209,7 @@ def _unit_max_flow(head: list[int], arcs_of: list[list[int]], s: int, t: int, cu
 
 
 def articulation_points(g: Graph) -> list[int]:
-    """Cut vertices of the graph, ascending (iterative lowlink DFS)."""
+    """Cut vertices, ascending (iterative lowlink DFS, one neighbour iterator per frame)."""
     disc = [-1] * g.n
     low = [0] * g.n
     cut = [False] * g.n
@@ -205,44 +217,39 @@ def articulation_points(g: Graph) -> list[int]:
     for root in range(g.n):
         if disc[root] != -1:
             continue
+        disc[root] = low[root] = timer = timer + 1
         root_children = 0
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        stack = [(root, -1, iter(g.neighbors(root)))]
         while stack:
-            v, parent, idx = stack.pop()
-            if idx == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            nbrs = g.neighbors(v)
-            if idx < len(nbrs):
-                stack.append((v, parent, idx + 1))
-                w = nbrs[idx]
-                if w == parent:
-                    continue
-                if disc[w] != -1:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, 0))
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer = timer + 1
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
-                if parent != -1:
+                stack.pop()
+                if parent == root:
+                    root_children += 1
+                elif parent != -1:
                     low[parent] = min(low[parent], low[v])
-                    if parent != root and low[v] >= disc[parent]:
-                        cut[parent] = True
-        if root_children >= 2:
-            cut[root] = True
+                    cut[parent] |= low[v] >= disc[parent]
+        cut[root] = root_children >= 2
     return [v for v in range(g.n) if cut[v]]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph relabeled to 0..k-1.
+    """Induced subgraph relabeled to 0..k-1, in O(sum of the chosen degrees).
 
     Returns (subgraph, order) where order[i] is the original id of the new
     vertex i; vertices are taken in ascending original id order.
     """
     order = sorted(set(vertices))
+    if order and not (0 <= order[0] and order[-1] < g.n):
+        raise ValueError(f"induced vertices must lie in 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(order)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return Graph(len(order), tuple(edges)), order
+    # Ascending ids and neighbour lists emit the pairs canonical: sorted, u < v.
+    edges = tuple((i, index[w]) for i, v in enumerate(order) for w in g.neighbors(v) if w > v and w in index)
+    return Graph._canonical(len(order), edges), order

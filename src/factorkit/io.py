@@ -73,19 +73,19 @@ def decode_graph6(data: bytes | str) -> Graph:
             f"graph6 body length mismatch: expected {expected} bytes for n={n}, "
             f"got {len(body)}"
         )
-    bits = 0
-    for b in body:
-        bits = (bits << 6) | (b - 63)
-    total = 6 * len(body)
-    if nbits < total and bits & ((1 << (total - nbits)) - 1):
+    pad = 6 * len(body) - nbits
+    if pad and (body[-1] - 63) & ((1 << pad) - 1):
         raise ValueError("graph6 trailing padding bits are not zero")
+    # One pass over the bytes: bit k is pair (k - start, j), start = j(j-1)/2 <= k < start + j.
     edges = []
-    pos = total
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                edges.append((i, j))
+    j, start = 1, 0
+    ones = (6 * pos + bit for pos, b in enumerate(body) if b > 63
+            for bit in range(6) if (b - 63) & (32 >> bit))
+    for k in ones:
+        while k >= start + j:
+            start += j
+            j += 1
+        edges.append((k - start, j))
     return Graph(n, tuple(edges))
 
 

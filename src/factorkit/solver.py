@@ -13,12 +13,13 @@ enumerating the cross-edge subsets into each side and memoizing per-piece
 feasibility, which is what makes hub-and-blocks families tractable; plain
 biconnected pieces fall back to lexicographic assignment enumeration. Each
 search keeps a piece table: every distinct relabeled piece, keyed by its
-(n, edges), is induced and split at its least cut vertex once, and the memo
-is keyed by (piece id, candidate degrees), so identical blocks share
-entries. The cut-vertex search runs on an explicit stack, so deep block-cut
-trees need no recursion. A "not exists" answer is only ever produced once
-the pruned space is provably exhausted; hitting the node budget yields a
-distinct inconclusive verdict.
+(n, edges), is induced (without re-validation) and split at its least cut
+vertex once, and the memo is keyed by (piece id, candidate degrees), so
+identical blocks share entries. A parity summary per side (how many vertices
+mix parities, how many are forced odd) screens each cross-edge subset in
+O(|subset|). The cut-vertex search runs on an explicit stack, so deep
+block-cut trees need no recursion. "Not exists" only ever follows a
+provably exhausted space; running out of node budget yields "inconclusive".
 
 Even-regular hosts get even-degree factors by construction instead
 (Petersen 1891): one Euler orientation, then r/2 perfect matchings peeled
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Generator, Iterable, Iterator, Sequence
 
 from .graph import Graph, articulation_points, connected_components, induced_subgraph, regularity
@@ -262,32 +264,41 @@ def _split(piece: _Piece, state: _SearchState) -> None:
     if not cuts:
         return
     cut = piece.cut = cuts[0]
+    nbrs = set(g.neighbors(cut))
     for comp in connected_components(g, (cut,)):
         side, order = induced_subgraph(g, comp)
-        cross = [i for i, v in enumerate(order) if g.has_edge(cut, v)]
+        cross = [i for i, v in enumerate(order) if v in nbrs]
         piece.sides.append((state.piece(side), order, cross))
+
+
+@lru_cache(maxsize=1024)
+def _parity_profile(values: tuple[int, ...]) -> tuple[int, int, int]:
+    """One vertex's candidates as (empty, mixed parity, forced odd) flags; a
+    search meets few distinct candidate tuples, so the flags are cached."""
+    parities = {a % 2 for a in values}
+    return (not parities, len(parities) == 2, parities == {1})
+
+
+def _parity_summary(candidates: Sequence[Sequence[int]]) -> list[int]:
+    """Per flag of `_parity_profile`, how many vertices raise it."""
+    return [sum(flags) for flags in zip((0, 0, 0), *map(_parity_profile, candidates))]
 
 
 def _parity_impossible(candidates: Sequence[Sequence[int]]) -> bool:
     """True when every vertex has parity-pure candidates and the forced total
     degree sum is odd (no subgraph can realize it, by handshake)."""
-    total = 0
-    for values in candidates:
-        parities = {v % 2 for v in values}
-        if len(parities) != 1:
-            return False
-        total += next(iter(parities))
-    return total % 2 == 1
+    empty, mixed, odd = _parity_summary(candidates)
+    return not empty and not mixed and odd % 2 == 1
 
 
 def _solve_vertices(
-    g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchState
+    g: Graph, comps: list[list[int]], allowed: Sequence[tuple[int, ...]], state: _SearchState
 ) -> list[Edge] | None:
     """Factor edges of g where each vertex v ends with degree in allowed[v],
-    or None if impossible; each component is solved as one piece."""
+    or None if impossible; each of g's components is solved as one piece."""
     out: list[Edge] = []
-    for comp in connected_components(g):
-        sub, order = induced_subgraph(g, comp)
+    for comp in comps:
+        sub, order = (g, comp) if len(comp) == g.n else induced_subgraph(g, comp)
         candidates = tuple(allowed[v] for v in comp)
         if _parity_impossible(candidates):
             return None
@@ -345,16 +356,28 @@ def _solve_at_cut_vertex(
     feasible: list[dict[int, list[Edge]]] = []
     for side, order, cross in piece.sides:
         degree = side.graph.degree
-        base = [tuple(a for a in candidates[v] if a <= degree(i)) for i, v in enumerate(order)]
+        # Candidates never exceed a vertex's piece degree, so only cross vertices
+        # (one edge short on the side) lose any. A subset's cross vertices take a
+        # cut edge each, shifting candidates and parity summary: O(|subset|).
+        base = [candidates[v] for v in order]
+        shifted = {i: tuple(a - 1 for a in base[i] if a >= 1) for i in cross}
+        for i in cross:
+            base[i] = tuple(a for a in base[i] if a <= degree(i))
+        delta = {i: [s - b for s, b in zip(*map(_parity_profile, (shifted[i], base[i])))] for i in cross}
+        summary = _parity_summary(base)
         by_size: dict[int, list[Edge]] = {}
         for size in range(min(len(cross), max_cut_degree) + 1):
             for subset in itertools.combinations(cross, size):
                 state.charge()
+                empty, mixed, odd = summary
+                for i in subset:
+                    e, m, o = delta[i]
+                    empty, mixed, odd = empty + e, mixed + m, odd + o
+                if empty or (not mixed and odd % 2 == 1):
+                    continue
                 reduced = list(base)
                 for i in subset:
-                    reduced[i] = tuple(a - 1 for a in candidates[order[i]] if 1 <= a <= degree(i) + 1)
-                if not all(reduced) or _parity_impossible(reduced):
-                    continue
+                    reduced[i] = shifted[i]
                 solved = yield side, tuple(reduced)
                 if solved is not None:
                     by_size[size] = [(order[u], order[v]) for u, v in solved] + [
@@ -414,17 +437,16 @@ def h_factor_decide(
     ValueError."""
     if budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {budget}")
-    if spec.all_odd():
-        # Handshake: a component of odd order cannot have all degrees odd.
-        for comp in connected_components(g):
-            if len(comp) % 2 == 1:
-                return Decision(NOT_EXISTS, METHOD_PARITY, None, 0)
+    comps = connected_components(g)
+    # Handshake: a component of odd order cannot have all degrees odd.
+    if spec.all_odd() and any(len(comp) % 2 == 1 for comp in comps):
+        return Decision(NOT_EXISTS, METHOD_PARITY, None, 0)
     allowed = [tuple(a for a in spec.allowed if a <= g.degree(v)) for v in range(g.n)]
     if not all(allowed):
         return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, 0)
     state = _SearchState(budget)
     try:
-        edges = _solve_vertices(g, allowed, state)
+        edges = _solve_vertices(g, comps, allowed, state)
     except _BudgetExceeded:
         return Decision(INCONCLUSIVE, METHOD_BUDGET, None, state.nodes)
     if edges is None:

@@ -214,3 +214,25 @@ def two_hub(triangles: int) -> Graph:
             n += 1
     edges += [(n + h, w) for h, w in attach]
     return Graph(n + 2, tuple(edges))
+
+
+def random_block_tree(rng, max_n: int) -> Graph:
+    """Cliques and cycles of 2-7 vertices, each glued at one random vertex of
+    the graph so far, until the next block would pass a vertex count drawn
+    from 2..max_n; then randomly relabeled. Every shared vertex is a cut
+    vertex, so the block-cut tree is as deep as the draw makes it."""
+    limit = rng.randint(2, max_n)
+    n, edges = 1, []
+    while True:
+        size = rng.randint(2, 7)
+        if n + size - 1 > limit:
+            break
+        block = [rng.randrange(n), *range(n, n + size - 1)]
+        n += size - 1
+        if size <= 3 or rng.random() < 0.5:
+            edges += itertools.combinations(block, 2)
+        else:
+            edges += zip(block, block[1:] + block[:1])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, tuple((perm[u], perm[v]) for u, v in edges))

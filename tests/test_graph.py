@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -22,7 +24,7 @@ from factorkit.generators import (
     random_regular_graph,
 )
 
-from oracles import brute_articulation_points, brute_min_cut
+from oracles import brute_articulation_points, brute_min_cut, random_block_tree
 
 
 def test_from_edges_c4():
@@ -44,6 +46,8 @@ def test_from_edges_rejects_duplicate_either_orientation():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         from_edges(3, [(0, 3)])
+    with pytest.raises(ValueError, match="outside"):
+        from_edges(3, [(-1, 2)])
     with pytest.raises(ValueError):
         from_edges(0, [(0, 1)])
 
@@ -265,11 +269,77 @@ def test_articulation_points_match_brute_force():
         assert articulation_points(g) == brute_articulation_points(g)
 
 
+def _articulation_corpus(rng):
+    """Random graphs, random trees, block trees, and disjoint unions of two
+    such graphs with isolated vertices, all on at most 300 vertices."""
+    for _ in range(125):
+        n = rng.randint(1, 300)
+        yield random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)), rng)
+        yield Graph(n, tuple((rng.randrange(v), v) for v in range(1, n)))
+        yield random_block_tree(rng, 300)
+        k = n // 2
+        parts = [random_block_tree(rng, 140), random_graph(k, min(k * (k - 1) // 2, k), rng)]
+        offset, edges = 0, []
+        for part in parts:
+            edges += [(offset + u, offset + v) for u, v in part.edges]
+            offset += part.n
+        total = offset + rng.randint(0, 10)
+        perm = list(range(total))
+        rng.shuffle(perm)
+        yield Graph(total, tuple((perm[u], perm[v]) for u, v in edges))
+
+
+def test_articulation_points_match_networkx():
+    nx = pytest.importorskip("networkx")
+    count = 0
+    for g in _articulation_corpus(random.Random(1973)):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert articulation_points(g) == sorted(nx.articulation_points(h)), g.edges
+        count += 1
+    assert count == 500
+
+
+def test_articulation_points_need_no_recursion():
+    g = path_graph(5000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        cuts = articulation_points(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cuts == list(range(1, 4999))
+
+
 def test_induced_subgraph_relabels():
     g = complete_graph(5)
     sub, order = induced_subgraph(g, [4, 1, 3])
     assert order == [1, 3, 4]
     assert sub == complete_graph(3)
+    for outside in ([0, 5], [-1, 2]):
+        with pytest.raises(ValueError, match="lie in"):
+            induced_subgraph(g, outside)
+
+
+def test_induced_subgraph_equals_validated_construction():
+    # Induced pieces skip re-validation; they must still equal the graph the
+    # public constructor builds from the same relabeled edges.
+    rng = random.Random(606)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        for vertices in ([], list(range(n)), [rng.randrange(n)] if n else [],
+                         rng.sample(range(n), rng.randint(0, n))):
+            sub, order = induced_subgraph(g, vertices)
+            index = {v: i for i, v in enumerate(order)}
+            edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+            rng.shuffle(edges)
+            ref = Graph(len(order), tuple(edges))
+            assert order == sorted(set(vertices))
+            assert sub == ref and hash(sub) == hash(ref)
+            assert sub.edges == ref.edges and sub._adj == ref._adj
+            assert sub.degrees() == ref.degrees()
 
 
 def test_degrees_of_circulant():

@@ -52,6 +52,18 @@ def test_roundtrip_boundary_and_long_format():
         assert decode_graph6(data) == g
 
 
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_roundtrip_large_against_networkx(n):
+    # Sizes at which a decoder quadratic in the body length takes seconds.
+    nx = pytest.importorskip("networkx")
+    g = random_graph(n, 3 * n, random.Random(n))
+    data = encode_graph6(g)
+    assert decode_graph6(data) == g
+    h = nx.from_graph6_bytes(data)
+    assert h.number_of_nodes() == n
+    assert sorted((min(e), max(e)) for e in h.edges()) == list(g.edges)
+
+
 def test_decode_accepts_census_prefix():
     assert decode_graph6(b">>graph6<<C~") == complete_graph(4)
 

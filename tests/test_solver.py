@@ -34,7 +34,7 @@ from factorkit.solver import (
     verify_factor,
 )
 
-from oracles import all_graphs, petersen
+from oracles import all_graphs, petersen, random_block_tree
 
 
 def test_spec_normalization():
@@ -205,6 +205,28 @@ def test_family_decisions_pinned():
     # before the piece table; the decomposition must not change any of them.
     assert hashlib.sha256(_family_decisions().encode()).hexdigest() == (
         "3de169aded721336df3775e1cfd5537f4fd1bbcbae0407abb729cef525c5b0ff"
+    )
+
+
+def _block_tree_decisions() -> str:
+    """Decisions on 300 seeded block trees of cliques and cycles (up to 60
+    vertices) under five specs, one repr per line."""
+    rng = random.Random(2011)
+    specs = [FactorSpec.of(*s) for s in ((1,), (1, 2), (1, 3), (0, 2), (2, 3))]
+    lines = []
+    for _ in range(300):
+        g = random_block_tree(rng, 60)
+        for spec in specs:
+            d = h_factor_decide(g, spec)
+            lines.append(repr((d.verdict, d.method, d.certificate, d.nodes_explored)))
+    return "\n".join(lines)
+
+
+def test_block_tree_decisions_pinned():
+    # Deep cut structure that the families and the n <= 5 census never reach;
+    # pinned before subset screening moved to per-side parity summaries.
+    assert hashlib.sha256(_block_tree_decisions().encode()).hexdigest() == (
+        "097aa45331596f461abffde7bcd24d2ca348cf12c11944dc2d4ca3b71afa1dac"
     )
 
 
