@@ -111,6 +111,8 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[list[int
     as sorted vertex lists ordered by least vertex."""
     seen = [False] * g.n
     for v in removed:
+        if not 0 <= v < g.n:
+            raise ValueError(f"removed vertices must lie in 0..{g.n - 1}")
         seen[v] = True
     comps: list[list[int]] = []
     for start in range(g.n):
@@ -143,9 +145,15 @@ def edge_connectivity(g: Graph) -> int:
 
     The minimum degree delta bounds it. Below delta, each side of a minimum
     cut has a vertex with no neighbour across the cut (Matula 1987), so any
-    dominating set D meets both sides, and |D|-1 unit-capacity max flows
-    from D[0], of at most delta augmentations each, find the cut. A
-    disconnected graph has edge connectivity 0. Requires n >= 2.
+    dominating set D meets both sides. The i-th of |D|-1 unit-capacity max
+    flows, of at most delta augmentations each, runs from the grown source
+    set {D[0], ..., D[i-1]} to D[i] (Matula 1987; Hao-Orlin 1994): the first
+    D[i] across a minimum cut from D[0] has every earlier member on D[0]'s
+    side, so its flow is that cut, and every flow is at least the edge
+    connectivity. Each augmenting path is searched backwards from the sink
+    and stops at the first source vertex, so late sinks, which lie next to
+    the grown set, touch few arcs. A disconnected graph has edge
+    connectivity 0. Requires n >= 2.
     """
     if g.n < 2:
         raise ValueError("edge connectivity is defined for graphs with n >= 2")
@@ -173,37 +181,44 @@ def edge_connectivity(g: Graph) -> int:
         else:
             dominating.append(v)
             uncovered -= fresh
-    for t in dominating[1:]:
+    source = [False] * g.n
+    for s, t in zip(dominating, dominating[1:]):
         # The flow never exceeds its cutoff, and is >= 1 on a connected graph.
-        best = _unit_max_flow(head, arcs_of, dominating[0], t, cutoff=best)
+        source[s] = True
+        best = _unit_max_flow(head, arcs_of, source, t, cutoff=best)
     return best
 
 
-def _unit_max_flow(head: list[int], arcs_of: list[list[int]], s: int, t: int, cutoff: int) -> int:
+def _unit_max_flow(head: list[int], arcs_of: list[list[int]], source: list[bool], t: int, cutoff: int) -> int:
     # Undirected unit capacities: both arcs of an edge start with residual 1.
-    # BFS augmenting paths (Edmonds-Karp); stops early at `cutoff`.
+    # BFS augmenting paths (Edmonds-Karp) searched backwards from t: for arc a
+    # out of a dequeued vertex, a ^ 1 runs from head[a] into it. A path ends at
+    # the first source vertex found, so no source is interior to it. Stops
+    # early at `cutoff`.
     residual = [1] * len(head)
     flow = 0
     while flow < cutoff:
-        # via[w] is the arc that reached w; s is marked with a non-arc value.
+        # via[w] is the arc leaving w towards t; t is marked with a non-arc value.
         via = [-1] * len(arcs_of)
-        via[s] = -2
-        queue = deque([s])
-        while queue and via[t] == -1:
-            v = queue.popleft()
-            for a in arcs_of[v]:
+        via[t] = -2
+        queue = deque([t])
+        s = -1
+        while queue and s == -1:
+            for a in arcs_of[queue.popleft()]:
                 w = head[a]
-                if via[w] == -1 and residual[a] > 0:
-                    via[w] = a
+                if via[w] == -1 and residual[a ^ 1] > 0:
+                    via[w] = a ^ 1
+                    if source[w]:
+                        s = w
+                        break
                     queue.append(w)
-        if via[t] == -1:
+        if s == -1:
             break
-        v = t
-        while v != s:
-            a = via[v]
+        while s != t:
+            a = via[s]
             residual[a] -= 1
             residual[a ^ 1] += 1
-            v = head[a ^ 1]
+            s = head[a]
         flow += 1
     return flow
 

@@ -13,6 +13,7 @@ from .graph import Graph
 FORMATS = ("graph6", "dimacs", "edges")
 
 _G6_PREFIX = b">>graph6<<"
+_PLUS_63 = bytes(range(63, 127)) + bytes(192)
 
 
 def encode_graph6(g: Graph) -> bytes:
@@ -28,21 +29,12 @@ def encode_graph6(g: Graph) -> bytes:
         header = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError(f"graph6 encoding supported up to n = 258047, got {n}")
-    edge_set = g.edge_set()
-    out = bytearray(header)
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = (group << 1) | (1 if (i, j) in edge_set else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return bytes(out)
+    # Bit k = j(j-1)/2 + i is pair (i, j), i < j: set the m edges' bits only.
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        k = j * (j - 1) // 2 + i
+        body[k // 6] |= 32 >> (k % 6)
+    return header + body.translate(_PLUS_63)
 
 
 def decode_graph6(data: bytes | str) -> Graph:

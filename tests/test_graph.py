@@ -127,6 +127,12 @@ def test_components_after_removal_match_induce_and_map_back():
             assert got == []
 
 
+def test_components_reject_removed_ids_out_of_range():
+    for removed in [(-1,), (4,), (0, 7)]:
+        with pytest.raises(ValueError, match="0..3"):
+            connected_components(path_graph(4), removed)
+
+
 def test_edge_connectivity_known_values():
     assert edge_connectivity(cycle_graph(4)) == 2
     assert edge_connectivity(complete_graph(5)) == 4
@@ -199,38 +205,66 @@ def _networkx_edge_connectivity(g):
 
 @pytest.fixture
 def flow_sources(monkeypatch):
-    """The source of every unit max flow that edge_connectivity runs."""
-    sources = []
+    """(sources, sink) of every unit max flow that edge_connectivity runs.
+
+    The flow takes its sources as a vertex mask that grows after the call,
+    so the set vertices are copied out when the flow starts.
+    """
+    flows = []
     unit_max_flow = graph_module._unit_max_flow
 
-    def recording(head, arcs_of, s, t, cutoff):
-        sources.append(s)
-        return unit_max_flow(head, arcs_of, s, t, cutoff)
+    def recording(head, arcs_of, source, t, cutoff):
+        flows.append(([v for v, on in enumerate(source) if on], t))
+        return unit_max_flow(head, arcs_of, source, t, cutoff)
 
     monkeypatch.setattr(graph_module, "_unit_max_flow", recording)
-    return sources
+    return flows
+
+
+def _joined_pairs(rng, sides, sizes):
+    """Per builder in sides, two graphs side(size, rng) joined by k < min
+    degree edges and relabelled at random: (graph, k, perm, a), where
+    perm.index(v) < a puts v on the first side."""
+    for side in sides:
+        a_side, b_side = side(rng.randint(*sizes), rng), side(rng.randint(*sizes), rng)
+        a, n = a_side.n, a_side.n + b_side.n
+        edges = list(a_side.edges) + [(u + a, v + a) for u, v in b_side.edges]
+        k = rng.randint(1, min(3, min(a_side.degrees() + b_side.degrees()) - 1))
+        bridges = rng.sample([(u, v) for u in range(a) for v in range(a, n)], k)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Graph(n, tuple((perm[u], perm[v]) for u, v in edges + bridges)), k, perm, a
 
 
 def test_edge_connectivity_two_cliques_matches_networkx(flow_sources):
     # Cliques K_a and K_b (a, b >= 5) joined by k <= 3 edges: lambda = k is
     # below the minimum degree, the case where only the dominating-set
-    # sinks can find the cut. Relabelling puts the flows' source, the first
-    # dominating vertex, on either side.
-    rng = random.Random(71)
+    # sinks can find the cut. Relabelling puts the flows' first source, the
+    # first dominating vertex, on either side.
     source_in_first = set()
-    for _ in range(60):
-        a, b = rng.randint(5, 10), rng.randint(5, 10)
-        n = a + b
-        edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
-        edges += [(u, v) for u in range(a, n) for v in range(u + 1, n)]
-        bridges = rng.sample([(u, v) for u in range(a) for v in range(a, n)], rng.randint(1, 3))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        g = Graph(n, tuple((perm[u], perm[v]) for u, v in edges + bridges))
+    cliques = [lambda n, _: complete_graph(n)] * 60
+    for g, k, perm, a in _joined_pairs(random.Random(71), cliques, (5, 10)):
         flow_sources.clear()
-        assert edge_connectivity(g) == _networkx_edge_connectivity(g) == len(bridges)
-        assert len(bridges) < min(g.degrees())
-        source_in_first.add(perm.index(flow_sources[0]) < a)
+        assert edge_connectivity(g) == _networkx_edge_connectivity(g) == k
+        assert k < min(g.degrees())
+        source_in_first.add(perm.index(flow_sources[0][0][0]) < a)
+    assert source_in_first == {True, False}
+
+
+def test_edge_connectivity_below_min_degree_at_scale(flow_sources):
+    # Random 4- and 5-regular graphs and cliques of 60-150 vertices, joined
+    # in pairs by k < delta edges. The first dominating vertex falls on
+    # either side; whichever it is, some later sink lies across the cut.
+    sides = [
+        lambda n, rng: random_regular_graph(n - n % 2, 4, rng),
+        lambda n, rng: random_regular_graph(n - n % 2, 5, rng),
+        lambda n, rng: complete_graph(n),
+    ]
+    source_in_first = set()
+    for g, k, perm, a in _joined_pairs(random.Random(1094), sides * 3, (60, 150)):
+        flow_sources.clear()
+        assert edge_connectivity(g) == _networkx_edge_connectivity(g) == k < min(g.degrees())
+        source_in_first.add(perm.index(flow_sources[0][0][0]) < a)
     assert source_in_first == {True, False}
 
 
@@ -259,6 +293,25 @@ def test_edge_connectivity_flows_follow_greedy_dominating_set(flow_sources):
     # so 44 flows run; greedy by ascending id would take 150.
     assert edge_connectivity(circulant_graph(300, (1, 13, 47, 89, 121))) == 10
     assert len(flow_sources) == 44
+
+
+def test_edge_connectivity_sources_grow_by_each_sink(flow_sources):
+    # The i-th flow runs from exactly the first i dominating vertices to the
+    # next one: D[0] and every earlier sink.
+    rng = random.Random(404)
+    graphs = [circulant_graph(300, (1, 13, 47, 89, 121)), random_regular_graph(120, 5, rng)]
+    graphs += [random_graph(n, 3 * n, rng) for n in (20, 40, 80)]
+    for g in graphs:
+        flow_sources.clear()
+        edge_connectivity(g)
+        assert flow_sources
+        dominating = [flow_sources[0][0][0]] + [t for _, t in flow_sources]
+        for i, (sources, t) in enumerate(flow_sources):
+            assert sources == sorted(dominating[: i + 1])
+            assert t == dominating[i + 1]
+        assert len(set(dominating)) == len(dominating)
+        covered = set(dominating).union(*(g.neighbors(v) for v in dominating))
+        assert covered == set(range(g.n))
 
 
 def test_articulation_points_match_brute_force():

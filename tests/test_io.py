@@ -64,6 +64,18 @@ def test_roundtrip_large_against_networkx(n):
     assert sorted((min(e), max(e)) for e in h.edges()) == list(g.edges)
 
 
+@pytest.mark.parametrize("n", [63, 64, 500, 2000])
+def test_sparse_encoding_matches_networkx_bytes(n):
+    nx = pytest.importorskip("networkx")
+    g = random_graph(n, 3 * n, random.Random(n + 1))
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(g.edges)
+    data = encode_graph6(g)
+    assert data + b"\n" == nx.to_graph6_bytes(G, header=False)
+    assert decode_graph6(data) == g
+
+
 def test_decode_accepts_census_prefix():
     assert decode_graph6(b">>graph6<<C~") == complete_graph(4)
 
