@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import inspect
 import itertools
 import random
 import sys
+from typing import Sequence
 
 import pytest
 
@@ -184,48 +186,70 @@ def test_h_factor_deterministic():
     assert a == b
 
 
-def _family_decisions() -> str:
+@functools.cache
+def _family_decisions() -> tuple[Decision, ...]:
     """Every {k, r-k} decision of the benchmark's families (odd k <= r/2),
-    plus {r/2} on G1, one repr per line."""
-    lines = []
+    plus {r/2} on G1."""
+    decisions = []
     for build, degrees in ((build_g1, (6, 10, 14, 18)), (build_g2, (8, 12))):
         for r in degrees:
             g = build(r).graph
             specs = [FactorSpec.complementary(k, r) for k in range(1, r // 2 + 1, 2)]
             if build is build_g1:
                 specs.append(FactorSpec.of(r // 2))
-            for spec in specs:
-                d = h_factor_decide(g, spec)
-                lines.append(repr((d.verdict, d.method, d.certificate, d.nodes_explored)))
-    return "\n".join(lines)
+            decisions.extend(h_factor_decide(g, spec) for spec in specs)
+    return tuple(decisions)
+
+
+@functools.cache
+def _block_tree_decisions() -> tuple[Decision, ...]:
+    """Decisions on 300 seeded block trees of cliques and cycles (up to 60
+    vertices) under five specs."""
+    rng = random.Random(2011)
+    specs = [FactorSpec.of(*s) for s in ((1,), (1, 2), (1, 3), (0, 2), (2, 3))]
+    decisions = []
+    for _ in range(300):
+        g = random_block_tree(rng, 60)
+        decisions.extend(h_factor_decide(g, spec) for spec in specs)
+    return tuple(decisions)
+
+
+def _decisions_digest(decisions: Sequence[Decision], certificates: bool) -> str:
+    """sha256 over one repr per decision, with or without its certificate."""
+    lines = [
+        repr((d.verdict, d.method, d.certificate, d.nodes_explored) if certificates
+             else (d.verdict, d.method, d.nodes_explored))
+        for d in decisions
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_family_verdicts_pinned():
+    # Verdicts, methods and node counts without certificates: a change of
+    # gadget may pick another factor, but never another answer or search.
+    assert _decisions_digest(_family_decisions(), certificates=False) == (
+        "afb19c8caef42bf78103000dab4ec315df903870ec83f4c4d91bb2a4415ea242"
+    )
 
 
 def test_family_decisions_pinned():
     # Verdicts, methods, certificates and node counts as the search gave them
     # before the piece table; the decomposition must not change any of them.
-    assert hashlib.sha256(_family_decisions().encode()).hexdigest() == (
+    assert _decisions_digest(_family_decisions(), certificates=True) == (
         "3de169aded721336df3775e1cfd5537f4fd1bbcbae0407abb729cef525c5b0ff"
     )
 
 
-def _block_tree_decisions() -> str:
-    """Decisions on 300 seeded block trees of cliques and cycles (up to 60
-    vertices) under five specs, one repr per line."""
-    rng = random.Random(2011)
-    specs = [FactorSpec.of(*s) for s in ((1,), (1, 2), (1, 3), (0, 2), (2, 3))]
-    lines = []
-    for _ in range(300):
-        g = random_block_tree(rng, 60)
-        for spec in specs:
-            d = h_factor_decide(g, spec)
-            lines.append(repr((d.verdict, d.method, d.certificate, d.nodes_explored)))
-    return "\n".join(lines)
+def test_block_tree_verdicts_pinned():
+    assert _decisions_digest(_block_tree_decisions(), certificates=False) == (
+        "6fd85748e8284e084e4c91be326a6d2313b8e524c77625cee7909801ee9b5bd6"
+    )
 
 
 def test_block_tree_decisions_pinned():
     # Deep cut structure that the families and the n <= 5 census never reach;
     # pinned before subset screening moved to per-side parity summaries.
-    assert hashlib.sha256(_block_tree_decisions().encode()).hexdigest() == (
+    assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
         "097aa45331596f461abffde7bcd24d2ca348cf12c11944dc2d4ca3b71afa1dac"
     )
 
