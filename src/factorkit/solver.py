@@ -2,10 +2,11 @@
 
 A factor query asks for a spanning subgraph whose vertex degrees all lie in
 a prescribed set of allowed values. Exact per-vertex prescriptions reduce to
-perfect matching through the classical vertex-expansion gadget: vertex v
-with degree d and target f becomes a complete bipartite gadget with d edge
-endpoints and d - f core vertices, and the expanded graph has a perfect
-matching iff the original graph has the prescribed factor.
+perfect matching through Tutte's vertex gadget, on the smaller side: vertex
+v with degree d and target f is joined through its edges' endpoints to
+min(f, d - f) gadget vertices (f copies that take used edges when 2f < d,
+else d - f cores that take unused ones), and the expanded graph has a
+perfect matching iff the original graph has the prescribed factor.
 
 Degree-set queries search over per-vertex target assignments on top of that
 engine. The search decomposes at cut vertices when the graph has them,
@@ -158,34 +159,42 @@ def verify_factor(g: Graph, certificate: Iterable[Sequence[int]], spec: FactorSp
 def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
     """Edges of a spanning subgraph with degree exactly targets[v] at each v,
     or None if no such subgraph exists. Callers validate targets."""
-    # Gadget layout: two endpoint vertices per edge, then per-vertex cores.
-    num_ext = 2 * g.m
+    # Tutte's gadget on the smaller side: v of degree d and target f gets f
+    # copies if 2f < d, each matched to a used edge's endpoint, else d - f
+    # cores, each matched to an unused one's. An edge between vertices of one
+    # kind has two adjacent endpoints, paired when unused at copies and used
+    # at cores; a mixed edge is one vertex. Edge vertices precede gadget
+    # vertices, so every list is built ascending; a vertex's gadget vertices
+    # share one list of its endpoints, which the matching only reads.
+    degrees = [g.degree(v) for v in range(g.n)]
+    copies = [2 * f < d for f, d in zip(targets, degrees)]
+    adj: list[list[int]] = []
     ext_of: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(g.edges):
-        ext_of[u].append(2 * idx)
-        ext_of[v].append(2 * idx + 1)
-    core_start = [0] * g.n
-    total = num_ext
-    for v in range(g.n):
-        core_start[v] = total
-        total += g.degree(v) - targets[v]
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for idx in range(g.m):
-        a, b = 2 * idx, 2 * idx + 1
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in range(g.n):
-        cores = range(core_start[v], core_start[v] + g.degree(v) - targets[v])
-        for c in cores:
-            for e in ext_of[v]:
-                adj[c].append(e)
-                adj[e].append(c)
-    # Every list is built ascending (an endpoint's partner precedes all cores).
-    mate, _ = perfect_matching(total, adj)
+    lower_end = []
+    for u, v in g.edges:
+        a = b = len(adj)
+        if copies[u] == copies[v]:
+            b = a + 1
+            adj += ([b], [a])
+        else:
+            adj.append([])
+        lower_end.append(a)
+        ext_of[u].append(a)
+        ext_of[v].append(b)
+    gadgets = []
+    for v, ext in enumerate(ext_of):
+        gadget = range(len(adj), len(adj) + min(targets[v], degrees[v] - targets[v]))
+        gadgets.append(gadget)
+        for e in ext:
+            adj[e].extend(gadget)
+        adj += [ext] * len(gadget)
+    mate, _ = perfect_matching(len(adj), adj)
     if mate is None:
         return None
+    # An edge (u, v) with u < v is used iff its endpoint at u is matched into
+    # u's gadget exactly when u has copies.
     return tuple(
-        g.edges[idx] for idx in range(g.m) if mate[2 * idx] == 2 * idx + 1
+        e for e, a in zip(g.edges, lower_end) if (mate[a] in gadgets[e[0]]) == copies[e[0]]
     )
 
 

@@ -1,9 +1,11 @@
 """Independent brute-force oracles and tiny corpus builders for the tests.
 
 The oracles are deliberately naive: straight enumeration with no shared
-code paths into the solver, so agreement is meaningful evidence. The one
-exception is `reference_maximum_matching`, a frozen earlier version of the
-matching that pins its exact search order.
+code paths into the solver, so agreement is meaningful evidence. The
+exceptions are `reference_maximum_matching`, a frozen earlier version of the
+matching that pins its exact search order, and
+`reference_prescribed_factor_edges`, the earlier d - f core gadget, which
+runs the solver's matching engine on a gadget of its own.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 from collections import deque
 from typing import Sequence
 
+from factorkit import solver
 from factorkit.graph import Graph
 
 # Outer 5-cycle, inner pentagram, spokes.
@@ -197,6 +200,44 @@ def reference_maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int
                 mate[prev] = end
                 end = next_end
     return mate
+
+
+# The exact-degree gadget before it took the smaller side at each vertex,
+# copied apart from its name, its docstring and the matching's lookup.
+def reference_prescribed_factor_edges(g: Graph, targets: Sequence[int]):
+    """Edges of a spanning subgraph with degree exactly targets[v] at each v,
+    or None: vertex v gets d - f cores, each joined to all d endpoints of its
+    edges. The matching is looked up on the solver module, so a test's spy on
+    the solver's matching sees these gadgets too."""
+    # Gadget layout: two endpoint vertices per edge, then per-vertex cores.
+    num_ext = 2 * g.m
+    ext_of: list[list[int]] = [[] for _ in range(g.n)]
+    for idx, (u, v) in enumerate(g.edges):
+        ext_of[u].append(2 * idx)
+        ext_of[v].append(2 * idx + 1)
+    core_start = [0] * g.n
+    total = num_ext
+    for v in range(g.n):
+        core_start[v] = total
+        total += g.degree(v) - targets[v]
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for idx in range(g.m):
+        a, b = 2 * idx, 2 * idx + 1
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in range(g.n):
+        cores = range(core_start[v], core_start[v] + g.degree(v) - targets[v])
+        for c in cores:
+            for e in ext_of[v]:
+                adj[c].append(e)
+                adj[e].append(c)
+    # Every list is built ascending (an endpoint's partner precedes all cores).
+    mate, _ = solver.perfect_matching(total, adj)
+    if mate is None:
+        return None
+    return tuple(
+        g.edges[idx] for idx in range(g.m) if mate[2 * idx] == 2 * idx + 1
+    )
 
 
 def two_hub(triangles: int) -> Graph:

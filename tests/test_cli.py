@@ -125,14 +125,15 @@ def test_factor_find_emits_certificate(g1_path, capsys):
 
 
 def test_factor_find_output_pinned(tmp_path, capsys):
-    # Byte-for-byte pin of the certificate the search finds first.
+    # Byte-for-byte pin of the certificate the search finds first, re-derived
+    # for the smaller-side gadget (the all-1 assignment now has copies).
     path = write_g6(tmp_path, "c120.g6", circulant_graph(120, (1, 11, 37)))
     assert run(["factor", "find", "--spec", "1,5", "--in", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["decision"]["nodes_explored"] == 1
     text = json.dumps(report["result"]).encode()
     assert hashlib.sha256(text).hexdigest() == (
-        "636bd8adf47aae801b9d7bebbd33204072974cb26db44298a6ffd295c258db9c"
+        "146591779b59d0da6837058479333b480e767ed408052212a2dfcb0b130e6833"
     )
 
 

@@ -23,6 +23,7 @@ from oracles import (
     all_graphs,
     brute_max_matching_size,
     reference_maximum_matching,
+    reference_prescribed_factor_edges,
     two_hub,
 )
 
@@ -126,9 +127,9 @@ def test_random_graphs_against_networkx(solver_matchings):
     # part of the graph, so tree-local resets and contraction scans differ
     # from full scans.
     graphs += [odd_cycle_graph(rng, n) for n in (201, 350, 600)]
-    # The solver's gadget for a 1-factor of G1(r=6): 242 vertices, hundreds
+    # The d - f core gadget for a 1-factor of G1(r=6): 242 vertices, hundreds
     # of blossoms, no perfect matching.
-    solver._prescribed_factor_edges(build_g1(6).graph, [1] * 22)
+    reference_prescribed_factor_edges(build_g1(6).graph, [1] * 22)
     n, adj, _ = solver_matchings[0]
     graphs.append(Graph(n, tuple((u, w) for u in range(n) for w in adj[u] if u < w)))
     for g in graphs:
@@ -283,13 +284,34 @@ def test_mates_pinned_on_random_graphs():
     ],
 )
 def test_mates_pinned_on_gadgets(solver_matchings, g, alternate, size, pinned, exists):
+    # Built by the d - f core gadget, so the digests pin the matching engine
+    # whatever gadget the solver builds.
     r = g.degree(0)
     targets = [(1 if v % 2 else r - 1) if alternate else r // 2 for v in range(g.n)]
-    edges = solver._prescribed_factor_edges(g, targets)
+    edges = reference_prescribed_factor_edges(g, targets)
     assert (edges is not None) == exists
     mates = [mate for _, _, mate in solver_matchings]
     assert [len(mate) for mate in mates] == [size]
     assert digest(mates) == pinned
+
+
+def test_all_one_gadget_takes_the_smaller_side(solver_matchings):
+    # One copy per vertex beside two endpoints per edge: 3,300 vertices, where
+    # d - f cores per vertex made 5,700.
+    g = circulant_graph(300, (1, 13, 47, 89, 121))
+    edges = solver._prescribed_factor_edges(g, [1] * g.n)
+    assert edges is not None and solver.verify_factor(g, edges, FactorSpec.of(1))
+    assert [n for n, _, _ in solver_matchings] == [3300]
+
+
+def test_tie_gadget_is_the_core_gadget(solver_matchings):
+    # With 2f = d the cores stay, so the {r/2} gadget and its factor are the
+    # earlier ones (copies would build the same graph but take the complement).
+    g = circulant_graph(120, (1, 11, 37))
+    edges = solver._prescribed_factor_edges(g, [3] * g.n)
+    assert edges is not None and edges == reference_prescribed_factor_edges(g, [3] * g.n)
+    (n, adj, _), (reference_n, reference_adj, _) = solver_matchings
+    assert n == reference_n == 1080 and adj == reference_adj
 
 
 def test_mates_pinned_on_bipartite_double(solver_matchings):

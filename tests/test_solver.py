@@ -36,7 +36,7 @@ from factorkit.solver import (
     verify_factor,
 )
 
-from oracles import all_graphs, petersen, random_block_tree
+from oracles import all_graphs, petersen, random_block_tree, reference_prescribed_factor_edges
 
 
 def test_spec_normalization():
@@ -121,6 +121,63 @@ def test_f_factor_all_ones_agrees_with_perfect_matching():
         mate = maximum_matching(g.n, [list(g.neighbors(v)) for v in range(g.n)])
         assert dec.exists == is_perfect(mate)
         checked += 1
+
+
+def _gadget_targets(rng: random.Random, g: Graph, draw: str) -> list[int]:
+    """Degree targets that give the gadget copies only (2f < d), cores only
+    (2f >= d), ties (2f = d where d is even) or a uniform mix, with an even
+    sum so that most draws can be realized."""
+    bounds = {
+        "copies": lambda d: (0, (d - 1) // 2),
+        "cores": lambda d: ((d + 1) // 2, d),
+        "ties": lambda d: (d // 2, d // 2),
+        "mixed": lambda d: (0, d),
+    }[draw]
+    targets = [rng.randint(*bounds(g.degree(v))) if g.degree(v) else 0 for v in range(g.n)]
+    if sum(targets) % 2:
+        v = max(range(g.n), key=g.degree)
+        targets[v] += 1 if targets[v] < g.degree(v) else -1
+    return targets
+
+
+def test_gadget_agrees_with_reference_gadget():
+    # The smaller-side gadget against the d - f core gadget, on seeded random
+    # graphs up to 40 vertices: same existence, and every certificate has
+    # exactly the target degrees.
+    rng = random.Random(1954)
+    found = {True: 0, False: 0}
+    for trial in range(400):
+        draw = ("copies", "cores", "ties", "mixed")[trial % 4]
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), rng)
+        targets = _gadget_targets(rng, g, draw)
+        edges = solver._prescribed_factor_edges(g, targets)
+        assert (edges is not None) == (reference_prescribed_factor_edges(g, targets) is not None)
+        if edges is not None:
+            assert set(edges) <= set(g.edges)
+            assert subgraph_degrees(n, edges) == targets, (g.edges, targets)
+        found[edges is not None] += 1
+    assert min(found.values()) > 50
+
+
+def test_gadget_against_subset_enumeration_on_every_small_graph():
+    # Every labelled graph on at most 4 vertices and every target vector,
+    # odd sums included: a factor is found exactly when some edge subset has
+    # those degrees, and it has them.
+    checked = 0
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            realized = {
+                tuple(subgraph_degrees(n, [g.edges[i] for i in range(g.m) if mask >> i & 1]))
+                for mask in range(1 << g.m)
+            }
+            for targets in itertools.product(*(range(g.degree(v) + 1) for v in range(n))):
+                edges = solver._prescribed_factor_edges(g, targets)
+                assert (edges is not None) == (targets in realized), (g.edges, targets)
+                if edges is not None:
+                    assert tuple(subgraph_degrees(n, edges)) == targets
+                checked += 1
+    assert checked == 3_194
 
 
 def test_h_factor_examples():
@@ -233,10 +290,10 @@ def test_family_verdicts_pinned():
 
 
 def test_family_decisions_pinned():
-    # Verdicts, methods, certificates and node counts as the search gave them
-    # before the piece table; the decomposition must not change any of them.
+    # Verdicts, methods, certificates and node counts; re-derived when the
+    # gadget took the smaller side at each vertex, which finds other factors.
     assert _decisions_digest(_family_decisions(), certificates=True) == (
-        "3de169aded721336df3775e1cfd5537f4fd1bbcbae0407abb729cef525c5b0ff"
+        "b14cc2d11a80d759d7ea4c2397dffccaecf3b1a02417757921c7a5fc04897027"
     )
 
 
@@ -248,9 +305,9 @@ def test_block_tree_verdicts_pinned():
 
 def test_block_tree_decisions_pinned():
     # Deep cut structure that the families and the n <= 5 census never reach;
-    # pinned before subset screening moved to per-side parity summaries.
+    # re-derived, like the family pin, for the smaller-side gadget.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "097aa45331596f461abffde7bcd24d2ca348cf12c11944dc2d4ca3b71afa1dac"
+        "787ea662e344f47ee47f92ecc7e47e6ac78e39c2ca580f3c5270fef1241c0f99"
     )
 
 
