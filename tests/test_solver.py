@@ -4,8 +4,6 @@ import inspect
 import itertools
 import random
 import sys
-from typing import Sequence
-
 import pytest
 
 from factorkit import solver
@@ -243,10 +241,13 @@ def test_h_factor_deterministic():
     assert a == b
 
 
+Labelled = tuple[tuple[object, Decision], ...]
+
+
 @functools.cache
-def _family_decisions() -> tuple[Decision, ...]:
+def _family_decisions() -> Labelled:
     """Every {k, r-k} decision of the benchmark's families (odd k <= r/2),
-    plus {r/2} on G1."""
+    plus {r/2} on G1, each labelled by its family, degree and spec."""
     decisions = []
     for build, degrees in ((build_g1, (6, 10, 14, 18)), (build_g2, (8, 12))):
         for r in degrees:
@@ -254,31 +255,67 @@ def _family_decisions() -> tuple[Decision, ...]:
             specs = [FactorSpec.complementary(k, r) for k in range(1, r // 2 + 1, 2)]
             if build is build_g1:
                 specs.append(FactorSpec.of(r // 2))
-            decisions.extend(h_factor_decide(g, spec) for spec in specs)
+            decisions.extend(((build.__name__, r, spec.allowed), h_factor_decide(g, spec))
+                             for spec in specs)
     return tuple(decisions)
 
 
 @functools.cache
-def _block_tree_decisions() -> tuple[Decision, ...]:
+def _block_tree_decisions() -> Labelled:
     """Decisions on 300 seeded block trees of cliques and cycles (up to 60
-    vertices) under five specs."""
+    vertices) under five specs, each labelled by its tree and spec."""
     rng = random.Random(2011)
     specs = [FactorSpec.of(*s) for s in ((1,), (1, 2), (1, 3), (0, 2), (2, 3))]
     decisions = []
-    for _ in range(300):
+    for tree in range(300):
         g = random_block_tree(rng, 60)
-        decisions.extend(h_factor_decide(g, spec) for spec in specs)
+        decisions.extend(((tree, spec.allowed), h_factor_decide(g, spec)) for spec in specs)
     return tuple(decisions)
 
 
-def _decisions_digest(decisions: Sequence[Decision], certificates: bool) -> str:
+CENSUS_SPECS = [
+    FactorSpec(values) for size in range(1, 6) for values in itertools.combinations(range(5), size)
+]
+
+
+@functools.cache
+def _census_decisions() -> Labelled:
+    """Every labelled graph on 1..5 vertices against every nonempty spec
+    within {0..4}, each labelled by (graph, spec)."""
+    return tuple(
+        ((g, spec), h_factor_decide(g, spec))
+        for n in range(1, 6)
+        for g in all_graphs(n)
+        for spec in CENSUS_SPECS
+    )
+
+
+def _decisions_digest(decisions: Labelled, certificates: bool) -> str:
     """sha256 over one repr per decision, with or without its certificate."""
     lines = [
         repr((d.verdict, d.method, d.certificate, d.nodes_explored) if certificates
              else (d.verdict, d.method, d.nodes_explored))
-        for d in decisions
+        for _, d in decisions
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _answers_digest(decisions: Labelled) -> str:
+    """sha256 over (label, verdict, method) per decision: no certificates and
+    no node counts, so only a changed answer moves it."""
+    lines = [repr((label, d.verdict, d.method)) for label, d in decisions]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("decisions, want", [
+    (_family_decisions, "fc81347b35a3f4e46edcebc2b76a622d6840382362643f1dbbc7cfefa9374833"),
+    (_block_tree_decisions, "2b6744a90b66b58cf9b6e055296a7a694effc196bf22aebb37edf3a679c40907"),
+    (_census_decisions, "1b148a7d2b994480bfa6a251ba896c49f1cc59387ec450b4db71d52550c38be9"),
+], ids=["families", "block_trees", "census"])
+def test_answers_pinned(decisions, want):
+    # Verdicts and methods only: a new search may explore other nodes and
+    # find other factors, but never give another answer.
+    assert _answers_digest(decisions()) == want
 
 
 def test_family_verdicts_pinned():
@@ -356,25 +393,16 @@ def test_deep_block_cut_tree_needs_no_recursion():
 
 
 def test_exhaustive_census_against_brute_force():
-    # Every labelled graph on 1..5 vertices against every nonempty spec within
-    # {0..4}: 1,099 graphs x 31 specs = 34,069 decisions.
-    specs = [
-        FactorSpec(values)
-        for size in range(1, 6)
-        for values in itertools.combinations(range(5), size)
-    ]
+    # 1,099 graphs x 31 specs = 34,069 decisions.
     decided = 0
-    for n in range(1, 6):
-        for g in all_graphs(n):
-            for spec in specs:
-                fast = h_factor_decide(g, spec)
-                slow = brute_force_h_factor(g, spec)
-                assert fast.verdict != INCONCLUSIVE
-                assert fast.exists == slow.exists, (g.n, g.edges, spec)
-                for dec in (fast, slow):
-                    if dec.exists:
-                        assert verify_factor(g, dec.certificate, spec)
-                decided += 1
+    for (g, spec), fast in _census_decisions():
+        slow = brute_force_h_factor(g, spec)
+        assert fast.verdict != INCONCLUSIVE
+        assert fast.exists == slow.exists, (g.n, g.edges, spec)
+        for dec in (fast, slow):
+            if dec.exists:
+                assert verify_factor(g, dec.certificate, spec)
+        decided += 1
     assert decided == 34_069
 
 def test_brute_force_examples():
