@@ -1,18 +1,21 @@
 """Exact decision procedures for degree-constrained spanning subgraphs.
 
 A factor query asks for a spanning subgraph whose vertex degrees all lie in
-a prescribed set of allowed values. Exact per-vertex prescriptions reduce to
-perfect matching through Tutte's vertex gadget, on the smaller side: vertex
-v with degree d and target f is joined through its edges' endpoints to
-min(f, d - f) gadget vertices (f copies that take used edges when 2f < d,
-else d - f cores that take unused ones), and the expanded graph has a
-perfect matching iff the original graph has the prescribed factor.
+a prescribed set of allowed values. Per-vertex degree windows lo..hi reduce
+to perfect matching through Tutte's vertex gadget (Lovasz 1972), on the
+smaller side: vertex v of degree d gets hi copies that take used edges when
+lo + hi < d, else d - lo cores that take unused ones, plus hi - lo slack
+vertices, and the expanded graph has a perfect matching iff the original
+graph has a factor in the windows. An exact target f is the window f..f.
 
-Degree-set queries search over per-vertex target assignments on top of that
+Degree-set queries search over per-vertex candidate degrees on top of that
 engine. The search decomposes at cut vertices when the graph has them,
 enumerating the cross-edge subsets into each side and memoizing per-piece
-feasibility, which is what makes hub-and-blocks families tractable; plain
-biconnected pieces fall back to lexicographic assignment enumeration. Each
+feasibility, which is what makes hub-and-blocks families tractable. A piece
+with no cut vertex is decided by branch and bound: a node tries every
+vertex at its lowest candidate, then relaxes each vertex's candidates to
+their window, which is exact when no gap exceeds 1 (Cornuejols 1988), and
+splits the candidates of a vertex whose relaxed degree falls in a gap. Each
 search keeps a piece table: every distinct relabeled piece, keyed by its
 (n, edges), is induced (without re-validation) and split at its least cut
 vertex once, and the memo is keyed by (piece id, candidate degrees), so
@@ -153,21 +156,26 @@ def verify_factor(g: Graph, certificate: Iterable[Sequence[int]], spec: FactorSp
 
 
 # ---------------------------------------------------------------------------
-# Exact-degree (per-vertex prescription) decision via gadget expansion
+# Degree-window gadget and the exact-degree decision
 
 
-def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
-    """Edges of a spanning subgraph with degree exactly targets[v] at each v,
-    or None if no such subgraph exists. Callers validate targets."""
-    # Tutte's gadget on the smaller side: v of degree d and target f gets f
-    # copies if 2f < d, each matched to a used edge's endpoint, else d - f
-    # cores, each matched to an unused one's. An edge between vertices of one
-    # kind has two adjacent endpoints, paired when unused at copies and used
-    # at cores; a mixed edge is one vertex. Edge vertices precede gadget
-    # vertices, so every list is built ascending; a vertex's gadget vertices
-    # share one list of its endpoints, which the matching only reads.
+def _prescribed_factor_edges(
+    g: Graph, lows: Sequence[int], highs: Sequence[int] | None = None, mixed: Sequence[bool] = ()
+) -> tuple[Edge, ...] | None:
+    """Edges of a spanning subgraph with each degree in lows[v]..highs[v]
+    (default: exactly lows[v]), every value if mixed[v], else every other
+    one; or None if there is none. Callers validate the windows."""
+    # Tutte's gadget on the smaller side: v of degree d and window lo..hi gets
+    # hi copies if lo + hi < d, each matched to a used edge's endpoint, else
+    # d - lo cores, each matched to an unused one's; up to hi - lo of them are
+    # left to slack vertices, in pairs bar one or two switches in a mixed
+    # window, which join a pool clique that makes the vertex count even. An
+    # edge between vertices of one kind has two adjacent endpoints, paired when
+    # unused at copies and used at cores; a mixed edge is one vertex. Every
+    # list is built ascending; a vertex's copies or cores share one list.
+    highs = lows if highs is None else highs
     degrees = [g.degree(v) for v in range(g.n)]
-    copies = [2 * f < d for f, d in zip(targets, degrees)]
+    copies = [lo + hi < d for lo, hi, d in zip(lows, highs, degrees)]
     adj: list[list[int]] = []
     ext_of: list[list[int]] = [[] for _ in range(g.n)]
     lower_end = []
@@ -182,17 +190,32 @@ def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ..
         ext_of[u].append(a)
         ext_of[v].append(b)
     gadgets = []
+    switches: list[int] = []
     for v, ext in enumerate(ext_of):
-        gadget = range(len(adj), len(adj) + min(targets[v], degrees[v] - targets[v]))
+        lo, hi = lows[v], highs[v]
+        gadget = range(len(adj), len(adj) + (hi if copies[v] else degrees[v] - lo))
         gadgets.append(gadget)
         for e in ext:
             adj[e].extend(gadget)
         adj += [ext] * len(gadget)
+        if hi > lo:
+            slack = range(len(adj), len(adj) + hi - lo)
+            ext.extend(slack)
+            pairs = len(slack) - (2 - len(slack) % 2 if mixed[v] else 0)
+            for a in slack[:pairs:2]:
+                adj += ([*gadget, a + 1], [*gadget, a])
+            switches += slack[pairs:]
+            adj += ([*gadget] for _ in slack[pairs:])
+    if switches:
+        pool = range(len(adj), len(adj) + len(switches) + (len(adj) + len(switches)) % 2)
+        for s in switches:
+            adj[s].extend(pool)
+        adj += ([*switches, *(q for q in pool if q != p)] for p in pool)
     mate, _ = perfect_matching(len(adj), adj)
     if mate is None:
         return None
     # An edge (u, v) with u < v is used iff its endpoint at u is matched into
-    # u's gadget exactly when u has copies.
+    # u's copies or cores exactly when u has copies.
     return tuple(
         e for e, a in zip(g.edges, lower_end) if (mate[a] in gadgets[e[0]]) == copies[e[0]]
     )
@@ -334,7 +357,7 @@ def _solve_piece(
             if piece.sides is None:
                 _split(piece, state)
             if piece.cut is None:
-                result = state.memo[key] = _solve_by_enumeration(piece.graph, candidates, state)
+                result = state.memo[key] = _solve_by_relaxation(piece.graph, candidates, state)
             else:
                 stack.append((key, _solve_at_cut_vertex(piece, candidates, state)))
                 result = None
@@ -418,21 +441,36 @@ def _solve_at_cut_vertex(
     return edges
 
 
-def _solve_by_enumeration(
-    sub: Graph,
-    candidates: Sequence[tuple[int, ...]],
-    state: _SearchState,
+def _solve_by_relaxation(
+    sub: Graph, candidates: tuple[tuple[int, ...], ...], state: _SearchState
 ) -> list[Edge] | None:
-    """Depth-first over per-vertex target assignments in vertex id order,
-    lowest value first; each parity-consistent assignment goes to the
-    matching engine."""
-    for assignment in itertools.product(*candidates):
+    """Branch and bound, depth first. A node tries every vertex at its lowest
+    candidate, then the hull: each vertex's candidates widened to a window.
+    No hull factor prunes; one with every degree a candidate solves; else the
+    first vertex whose degree d is in a gap splits below d, then above."""
+    stack = [candidates]
+    while stack:
+        candidates = stack.pop()
         state.charge()
-        if sum(assignment) % 2 == 1:
+        if _parity_impossible(candidates):
             continue
-        edges = _prescribed_factor_edges(sub, assignment)
-        if edges is not None:
+        lows = [c[0] for c in candidates]
+        if sum(lows) % 2 == 0 and any(len(c) > 1 for c in candidates):
+            edges = _prescribed_factor_edges(sub, lows)
+            if edges is not None:
+                return list(edges)
+        highs = [c[-1] for c in candidates]
+        mixed = [_parity_profile(c)[1] for c in candidates]
+        edges = _prescribed_factor_edges(sub, lows, highs, mixed)
+        if edges is None:
+            continue
+        degrees = subgraph_degrees(sub.n, edges)
+        v = next((v for v, c in enumerate(candidates) if degrees[v] not in c), None)
+        if v is None:
             return list(edges)
+        d, c = degrees[v], candidates[v]
+        stack += [candidates[:v] + (tuple(a for a in c if a > d),) + candidates[v + 1:],
+                  candidates[:v] + (tuple(a for a in c if a < d),) + candidates[v + 1:]]
     return None
 
 
@@ -441,9 +479,10 @@ def h_factor_decide(
 ) -> Decision:
     """Exact decision: does g have a spanning subgraph with every vertex
     degree in spec? The search space is the set of per-vertex assignments
-    drawn from spec, pruned by parity and cut-vertex decomposition; NotExists
-    means that space was provably exhausted. A negative budget is a
-    ValueError."""
+    drawn from spec, pruned by parity, cut vertices and relaxation; NotExists
+    means that space was provably exhausted. The budget counts each branch
+    and bound node and each cross-edge subset tried at a cut vertex; a
+    negative budget is a ValueError."""
     if budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {budget}")
     comps = connected_components(g)

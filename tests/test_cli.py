@@ -13,6 +13,8 @@ from factorkit.generators import circulant_graph, complete_graph
 from factorkit.io import decode_graph6, from_dimacs, write_graph
 from factorkit.solver import INCONCLUSIVE, METHOD_BUDGET, Decision
 
+from oracles import two_hub
+
 
 @pytest.fixture
 def g1_path(tmp_path):
@@ -148,6 +150,16 @@ def test_factor_budget_inconclusive(tmp_path, capsys):
     code = run(["factor", "check", "--spec", "1,2", "--in", path, "--budget", "0"])
     assert code == 3
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_two_hub_probe_is_a_negative_answer(tmp_path, capsys):
+    # The benchmark's budgeted probe: decided within its 1,000-node budget,
+    # so the exit code is 1 (no factor), not 3 (budget spent).
+    path = write_g6(tmp_path, "two_hub_8.g6", two_hub(8))
+    argv = ["factor", "check", "--spec", "1,3", "--in", path, "--budget", "1000", "--json"]
+    assert run(argv) == 1
+    decision = json.loads(capsys.readouterr().out)["result"]["decision"]
+    assert decision["verdict"] == "not-exists" and decision["nodes_explored"] <= 2
 
 
 def test_factor_negative_budget_is_usage_error(g1_path, capsys):

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import random
 import sys
+
 import pytest
 
 from factorkit import solver
@@ -34,7 +35,13 @@ from factorkit.solver import (
     verify_factor,
 )
 
-from oracles import all_graphs, petersen, random_block_tree, reference_prescribed_factor_edges
+from oracles import (
+    all_graphs,
+    petersen,
+    random_block_tree,
+    reference_prescribed_factor_edges,
+    two_hub,
+)
 
 
 def test_spec_normalization():
@@ -158,24 +165,51 @@ def test_gadget_agrees_with_reference_gadget():
     assert min(found.values()) > 50
 
 
+def _windows(d: int) -> list[tuple[int, int, bool]]:
+    """Every window (lo, hi, mixed) with lo <= hi <= d: each value from lo to
+    hi when mixed, else every other one (lo == hi is listed once)."""
+    return [
+        (lo, hi, mixed)
+        for lo in range(d + 1)
+        for hi in range(lo, d + 1)
+        for mixed in (False, True)
+        if (mixed or (hi - lo) % 2 == 0) and not (mixed and hi == lo)
+    ]
+
+
 def test_gadget_against_subset_enumeration_on_every_small_graph():
-    # Every labelled graph on at most 4 vertices and every target vector,
-    # odd sums included: a factor is found exactly when some edge subset has
-    # those degrees, and it has them.
+    # Every labelled graph on at most 4 vertices and every window per vertex,
+    # exact, parity-step and plain, odd totals included: a factor is found
+    # exactly when some edge subset has every degree in its window, and it
+    # has. The exact windows alone are every target vector, 3,194 cases.
     checked = 0
     for n in range(1, 5):
         for g in all_graphs(n):
-            realized = {
+            realized = sorted({
                 tuple(subgraph_degrees(n, [g.edges[i] for i in range(g.m) if mask >> i & 1]))
                 for mask in range(1 << g.m)
-            }
-            for targets in itertools.product(*(range(g.degree(v) + 1) for v in range(n))):
-                edges = solver._prescribed_factor_edges(g, targets)
-                assert (edges is not None) == (targets in realized), (g.edges, targets)
+            })
+            # inside[v][w]: bit j set iff realized[j] puts v inside window w.
+            windows = [_windows(g.degree(v)) for v in range(n)]
+            inside = [
+                [
+                    sum(1 << j for j, t in enumerate(realized)
+                        if lo <= t[v] <= hi and (mixed or (t[v] - lo) % 2 == 0))
+                    for lo, hi, mixed in windows[v]
+                ]
+                for v in range(n)
+            ]
+            for choice in itertools.product(*(range(len(w)) for w in windows)):
+                lows, highs, mixed = zip(*(windows[v][w] for v, w in enumerate(choice)))
+                edges = solver._prescribed_factor_edges(g, lows, highs, mixed)
+                want = functools.reduce(int.__and__, (inside[v][w] for v, w in enumerate(choice)))
+                assert (edges is not None) == bool(want), (g.edges, lows, highs, mixed)
                 if edges is not None:
-                    assert tuple(subgraph_degrees(n, edges)) == targets
+                    assert set(edges) <= set(g.edges)
+                    for v, d in enumerate(subgraph_degrees(n, edges)):
+                        assert lows[v] <= d <= highs[v] and (mixed[v] or (d - lows[v]) % 2 == 0)
                 checked += 1
-    assert checked == 3_194
+    assert checked == 101_028
 
 
 def test_h_factor_examples():
@@ -209,6 +243,29 @@ def test_h_factor_budget_is_honest():
     assert dec.verdict == INCONCLUSIVE and dec.method == "budget"
     full = h_factor_decide(g, FactorSpec.of(1, 2))
     assert full.verdict in (EXISTS, NOT_EXISTS)
+
+
+def test_two_hub_probe_is_one_node():
+    # The benchmark's budgeted probe: eight triangles hang off two hubs, so no
+    # {1,3}-factor exists and there is no cut vertex. The all-1 gadget and the
+    # {1,3} hull both fail at the first node, within a 1,000-node budget.
+    g = two_hub(8)
+    dec = h_factor_decide(g, FactorSpec.of(1, 3), budget=1000)
+    assert (dec.verdict, dec.method) == (NOT_EXISTS, "exhausted-assignments")
+    assert dec.nodes_explored <= 2
+    dec = h_factor_decide(g, FactorSpec.of(1, 3), budget=0)
+    assert (dec.verdict, dec.method, dec.nodes_explored) == (INCONCLUSIVE, "budget", 1)
+
+
+def test_branching_refutes_a_feasible_hull():
+    # K_{2,4} under {1,4}: the four leaves take one edge each, so the hub
+    # degrees sum to 4, which neither 1 + 3, 2 + 2 nor 4 + 0 is. The hull
+    # (hubs anywhere in 1..4) is feasible, so the search branches at a hub
+    # that lands in the gap: five nodes, each hull infeasible or in a gap.
+    g = Graph(6, tuple((leaf, hub) for leaf in range(4) for hub in (4, 5)))
+    dec = h_factor_decide(g, FactorSpec.of(1, 4))
+    assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "exhausted-assignments", 5)
+    assert not brute_force_h_factor(g, FactorSpec.of(1, 4)).exists
 
 
 def test_h_factor_negative_budget_is_an_error():
@@ -335,16 +392,19 @@ def test_family_decisions_pinned():
 
 
 def test_block_tree_verdicts_pinned():
+    # Re-derived when blocks were decided by branch and bound: node counts
+    # moved under {1,2} and {2,3}, where a block's hull finds a factor the
+    # first assignment misses.
     assert _decisions_digest(_block_tree_decisions(), certificates=False) == (
-        "6fd85748e8284e084e4c91be326a6d2313b8e524c77625cee7909801ee9b5bd6"
+        "066786c56fec5636203adfac18f52ad2d9b4095aeda902c3c6ddcd67b94a3d6d"
     )
 
 
 def test_block_tree_decisions_pinned():
     # Deep cut structure that the families and the n <= 5 census never reach;
-    # re-derived, like the family pin, for the smaller-side gadget.
+    # re-derived for the smaller-side gadget, and again with the verdict pin.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "787ea662e344f47ee47f92ecc7e47e6ac78e39c2ca580f3c5270fef1241c0f99"
+        "950622a55a53c99d7aa14bf68a7ae883f280ded6e89b7ab74dfc7bee6aa7420b"
     )
 
 
@@ -404,6 +464,36 @@ def test_exhaustive_census_against_brute_force():
                 assert verify_factor(g, dec.certificate, spec)
         decided += 1
     assert decided == 34_069
+
+@functools.cache
+def _atlas_graphs() -> tuple[Graph, ...]:
+    """Every graph of the networkx atlas (all graphs on at most 7 vertices, up
+    to isomorphism) with at most 15 edges, so brute force stays cheap."""
+    nx = pytest.importorskip("networkx")
+    return tuple(
+        Graph(h.number_of_nodes(), tuple(h.edges()))
+        for h in nx.graph_atlas_g()
+        if h.number_of_edges() <= 15
+    )
+
+
+@pytest.mark.parametrize("allowed", [(1,), (2,), (1, 2), (1, 3), (1, 4), (1, 5), (2, 5)],
+                         ids=lambda allowed: ",".join(map(str, allowed)))
+def test_atlas_census_against_brute_force(allowed):
+    # Specs with 0 are left out: the all-0 first assignment decides them at
+    # once. Gaps of 2 or more make the search branch.
+    spec = FactorSpec(allowed)
+    graphs = _atlas_graphs()
+    assert len(graphs) == 1_213
+    for g in graphs:
+        fast = h_factor_decide(g, spec)
+        slow = brute_force_h_factor(g, spec)
+        assert fast.verdict != INCONCLUSIVE
+        assert fast.exists == slow.exists, (g.n, g.edges, spec)
+        for dec in (fast, slow):
+            if dec.exists:
+                assert verify_factor(g, dec.certificate, spec)
+
 
 def test_brute_force_examples():
     assert brute_force_h_factor(cycle_graph(4), FactorSpec.of(1)).exists
