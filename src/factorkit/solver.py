@@ -7,6 +7,9 @@ smaller side: vertex v of degree d gets hi copies that take used edges when
 lo + hi < d, else d - lo cores that take unused ones, plus hi - lo slack
 vertices, and the expanded graph has a perfect matching iff the original
 graph has a factor in the windows. An exact target f is the window f..f.
+Each edge endpoint lists its own vertex's gadget before its partner, so the
+matcher's greedy seed is a greedy factor of the host and leaves few
+vertices to augmenting searches (Magun 1998).
 
 Degree-set queries search over per-vertex candidate degrees on top of that
 engine. The search decomposes at cut vertices when the graph has them,
@@ -171,8 +174,9 @@ def _prescribed_factor_edges(
     # left to slack vertices, in pairs bar one or two switches in a mixed
     # window, which join a pool clique that makes the vertex count even. An
     # edge between vertices of one kind has two adjacent endpoints, paired when
-    # unused at copies and used at cores; a mixed edge is one vertex. Every
-    # list is built ascending; a vertex's copies or cores share one list.
+    # unused at copies and used at cores; a mixed edge is one vertex. Endpoints
+    # list their vertex's gadget before their partner, so the matcher's greedy
+    # seed is a greedy factor of g; a vertex's copies or cores share one list.
     highs = lows if highs is None else highs
     degrees = [g.degree(v) for v in range(g.n)]
     copies = [lo + hi < d for lo, hi, d in zip(lows, highs, degrees)]
@@ -183,7 +187,7 @@ def _prescribed_factor_edges(
         a = b = len(adj)
         if copies[u] == copies[v]:
             b = a + 1
-            adj += ([b], [a])
+            adj += ([], [])
         else:
             adj.append([])
         lower_end.append(a)
@@ -206,6 +210,10 @@ def _prescribed_factor_edges(
                 adj += ([*gadget, a + 1], [*gadget, a])
             switches += slack[pairs:]
             adj += ([*gadget] for _ in slack[pairs:])
+    for (u, v), a in zip(g.edges, lower_end):
+        if copies[u] == copies[v]:
+            adj[a].append(a + 1)
+            adj[a + 1].append(a)
     if switches:
         pool = range(len(adj), len(adj) + len(switches) + (len(adj) + len(switches)) % 2)
         for s in switches:
@@ -447,18 +455,24 @@ def _solve_by_relaxation(
     """Branch and bound, depth first. A node tries every vertex at its lowest
     candidate, then the hull: each vertex's candidates widened to a window.
     No hull factor prunes; one with every degree a candidate solves; else the
-    first vertex whose degree d is in a gap splits below d, then above."""
-    stack = [candidates]
+    first vertex whose degree d is in a gap splits below d, then above. The
+    lower child keeps every lowest candidate, so it inherits whether that
+    gadget already failed and skips it, or prunes when it is also the hull."""
+    stack = [(candidates, False)]
     while stack:
-        candidates = stack.pop()
+        candidates, lows_failed = stack.pop()
         state.charge()
         if _parity_impossible(candidates):
             continue
         lows = [c[0] for c in candidates]
-        if sum(lows) % 2 == 0 and any(len(c) > 1 for c in candidates):
+        single = all(len(c) == 1 for c in candidates)
+        if lows_failed and single:
+            continue
+        if not lows_failed and not single and sum(lows) % 2 == 0:
             edges = _prescribed_factor_edges(sub, lows)
             if edges is not None:
                 return list(edges)
+            lows_failed = True
         highs = [c[-1] for c in candidates]
         mixed = [_parity_profile(c)[1] for c in candidates]
         edges = _prescribed_factor_edges(sub, lows, highs, mixed)
@@ -469,8 +483,8 @@ def _solve_by_relaxation(
         if v is None:
             return list(edges)
         d, c = degrees[v], candidates[v]
-        stack += [candidates[:v] + (tuple(a for a in c if a > d),) + candidates[v + 1:],
-                  candidates[:v] + (tuple(a for a in c if a < d),) + candidates[v + 1:]]
+        stack += [(candidates[:v] + (tuple(a for a in c if a > d),) + candidates[v + 1:], False),
+                  (candidates[:v] + (tuple(a for a in c if a < d),) + candidates[v + 1:], lows_failed)]
     return None
 
 

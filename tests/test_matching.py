@@ -305,14 +305,41 @@ def test_all_one_gadget_takes_the_smaller_side(solver_matchings):
     assert [n for n, _, _ in solver_matchings] == [3300]
 
 
+def greedy_seed_exposed(n: int, adj) -> int:
+    """How many vertices the matcher's greedy seed leaves exposed: each
+    vertex in ascending id takes its first exposed neighbour."""
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] == -1:
+            u = next((u for u in adj[v] if mate[u] == -1), -1)
+            if u != -1:
+                mate[v], mate[u] = u, v
+    return mate.count(-1)
+
+
+def test_gadget_seed_is_a_greedy_factor(solver_matchings):
+    # Endpoints list their vertex's gadget before their partner, so the seed
+    # fills each vertex's copies or cores first and leaves at most 1% exposed
+    # (listing the partner first would leave every core or copy exposed).
+    g = circulant_graph(300, (1, 13, 47, 89, 121))
+    assert solver._prescribed_factor_edges(g, [5] * g.n) is not None
+    assert h_factor_decide(g, FactorSpec.of(1, 9)).exists
+    (tie_n, tie_adj, _), (ones_n, ones_adj, _) = solver_matchings[:2]
+    assert (tie_n, ones_n) == (4500, 3300)
+    assert greedy_seed_exposed(tie_n, tie_adj) <= tie_n // 100
+    assert greedy_seed_exposed(ones_n, ones_adj) <= ones_n // 100
+
+
 def test_tie_gadget_is_the_core_gadget(solver_matchings):
-    # With 2f = d the cores stay, so the {r/2} gadget and its factor are the
-    # earlier ones (copies would build the same graph but take the complement).
+    # With 2f = d the cores stay, so the {r/2} gadget is the earlier one up to
+    # list order (copies would build the same graph but take the complement),
+    # and its factor is the earlier one too.
     g = circulant_graph(120, (1, 11, 37))
     edges = solver._prescribed_factor_edges(g, [3] * g.n)
     assert edges is not None and edges == reference_prescribed_factor_edges(g, [3] * g.n)
     (n, adj, _), (reference_n, reference_adj, _) = solver_matchings
-    assert n == reference_n == 1080 and adj == reference_adj
+    assert n == reference_n == 1080
+    assert [set(neighbors) for neighbors in adj] == [set(neighbors) for neighbors in reference_adj]
 
 
 def test_mates_pinned_on_bipartite_double(solver_matchings):

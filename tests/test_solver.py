@@ -257,14 +257,26 @@ def test_two_hub_probe_is_one_node():
     assert (dec.verdict, dec.method, dec.nodes_explored) == (INCONCLUSIVE, "budget", 1)
 
 
-def test_branching_refutes_a_feasible_hull():
+def test_branching_refutes_a_feasible_hull(monkeypatch):
     # K_{2,4} under {1,4}: the four leaves take one edge each, so the hub
     # degrees sum to 4, which neither 1 + 3, 2 + 2 nor 4 + 0 is. The hull
     # (hubs anywhere in 1..4) is feasible, so the search branches at a hub
     # that lands in the gap: five nodes, each hull infeasible or in a gap.
+    # A lower child keeps every lowest candidate, so it inherits the failed
+    # all-1 gadget instead of matching it again, and prunes when its hull is
+    # that gadget: one all-1 build of at most four.
+    builds = []
+    real = solver._prescribed_factor_edges
+
+    def spy(g, lows, highs=None, mixed=()):
+        builds.append((tuple(lows), tuple(lows if highs is None else highs)))
+        return real(g, lows, highs, mixed)
+
+    monkeypatch.setattr(solver, "_prescribed_factor_edges", spy)
     g = Graph(6, tuple((leaf, hub) for leaf in range(4) for hub in (4, 5)))
     dec = h_factor_decide(g, FactorSpec.of(1, 4))
     assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "exhausted-assignments", 5)
+    assert builds.count(((1,) * 6, (1,) * 6)) == 1 and len(builds) <= 4
     assert not brute_force_h_factor(g, FactorSpec.of(1, 4)).exists
 
 
@@ -402,9 +414,10 @@ def test_block_tree_verdicts_pinned():
 
 def test_block_tree_decisions_pinned():
     # Deep cut structure that the families and the n <= 5 census never reach;
-    # re-derived for the smaller-side gadget, and again with the verdict pin.
+    # re-derived for the smaller-side gadget, again with the verdict pin, and
+    # when endpoints listed their gadget first, which finds other factors.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "950622a55a53c99d7aa14bf68a7ae883f280ded6e89b7ab74dfc7bee6aa7420b"
+        "548278affb8311531a0fb451b5973724a9e9b7f1d6ead9c1edae688a9f6c4512"
     )
 
 
