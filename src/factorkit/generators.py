@@ -49,13 +49,10 @@ def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     return Graph(n, tuple(rng.sample(pairs, m)))
 
 
-def random_regular_graph(
-    n: int, r: int, rng: random.Random, require_connected: bool = True
-) -> Graph:
-    """Random simple r-regular graph via the pairing model with rejection.
-
-    Retries until the paired stubs give a simple graph (and a connected one
-    when requested); n * r must be even.
+def random_regular_graph(n: int, r: int, rng: random.Random) -> Graph:
+    """Random connected simple r-regular graph via the pairing model with
+    rejection: retries until the paired stubs give a simple connected graph;
+    n * r must be even.
     """
     if r < 0:
         raise ValueError(f"degree must be nonnegative, got r={r}")
@@ -63,7 +60,7 @@ def random_regular_graph(
         raise ValueError(f"no {r}-regular graph on {n} vertices: n*r is odd")
     if r >= n:
         raise ValueError(f"need r < n for a simple graph, got r={r}, n={n}")
-    if require_connected and r < 2 and n > r + 1:
+    if r < 2 and n > r + 1:
         raise ValueError(f"no connected {r}-regular graph has {n} vertices")
     for _ in range(10000):
         stubs = [v for v in range(n) for _ in range(r)]
@@ -83,7 +80,7 @@ def random_regular_graph(
         if not ok:
             continue
         g = Graph(n, tuple(edges))
-        if require_connected and not is_connected(g):
+        if not is_connected(g):
             continue
         assert regularity(g) == r
         return g

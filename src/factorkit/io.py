@@ -92,7 +92,7 @@ def to_dimacs(g: Graph) -> str:
 def from_dimacs(text: str) -> Graph:
     n = None
     m = None
-    pairs: list[tuple[int, int]] = []
+    ends: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -107,14 +107,18 @@ def from_dimacs(text: str) -> Graph:
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-            pairs.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            ends.append((lineno, int(parts[1]), int(parts[2])))
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None or m is None:
         raise ValueError("missing 'p edge n m' line")
-    if len(pairs) != m:
-        raise ValueError(f"problem line promises {m} edges, found {len(pairs)}")
-    return Graph(n, tuple(pairs))
+    if len(ends) != m:
+        raise ValueError(f"problem line promises {m} edges, found {len(ends)}")
+    for lineno, *ids in ends:
+        for x in ids:
+            if not 1 <= x <= n:
+                raise ValueError(f"line {lineno}: vertex id {x} outside 1..{n}")
+    return Graph(n, tuple((u - 1, v - 1) for _, u, v in ends))
 
 
 def to_edge_list(g: Graph) -> str:

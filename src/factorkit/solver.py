@@ -12,21 +12,21 @@ matcher's greedy seed is a greedy factor of the host and leaves few
 vertices to augmenting searches (Magun 1998).
 
 Degree-set queries search over per-vertex candidate degrees on top of that
-engine. The search decomposes at cut vertices when the graph has them,
-enumerating the cross-edge subsets into each side and memoizing per-piece
-feasibility, which is what makes hub-and-blocks families tractable. A piece
-with no cut vertex is decided by branch and bound: a node tries every
-vertex at its lowest candidate, then relaxes each vertex's candidates to
-their window, which is exact when no gap exceeds 1 (Cornuejols 1988), and
-splits the candidates of a vertex whose relaxed degree falls in a gap. Each
-search keeps a piece table: every distinct relabeled piece, keyed by its
-(n, edges), is induced (without re-validation) and split at its least cut
-vertex once, and the memo is keyed by (piece id, candidate degrees), so
-identical blocks share entries. A parity summary per side (how many vertices
-mix parities, how many are forced odd) screens each cross-edge subset in
-O(|subset|). The cut-vertex search runs on an explicit stack, so deep
-block-cut trees need no recursion. "Not exists" only ever follows a
-provably exhausted space; running out of node budget yields "inconclusive".
+engine. The search decomposes at cut vertices when the graph has them, which
+is what makes hub-and-blocks families tractable: each side keeps the cut
+vertex, every side but the largest is queried once per degree the cut vertex
+can take in it, and the largest once, with the cut vertex's candidates
+lowered by each total the other sides can reach. A piece with no cut vertex
+is decided by branch and bound: a node tries every vertex at its lowest
+candidate, then relaxes each vertex's candidates to their window, which is
+exact when no gap exceeds 1 (Cornuejols 1988), and splits the candidates of
+a vertex whose relaxed degree falls in a gap. Each search keeps a piece
+table: every distinct relabeled piece, keyed by its (n, edges), is induced
+(without re-validation) and split at its least cut vertex once, and the memo
+is keyed by (piece id, candidate degrees), so identical blocks share
+entries. The cut-vertex search runs on an explicit stack, so deep block-cut
+trees need no recursion. "Not exists" only ever follows a provably exhausted
+space; running out of node budget yields "inconclusive".
 
 Even-regular hosts get even-degree factors by construction instead
 (Petersen 1891): one Euler orientation, then r/2 perfect matchings peeled
@@ -38,7 +38,6 @@ All functions are pure and the verdicts are deterministic across runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Generator, Iterable, Iterator, Sequence
@@ -261,9 +260,9 @@ class _BudgetExceeded(Exception):
 
 class _Piece:
     """One relabeled piece of the decomposition: its memo id and, once split,
-    its least cut vertex (None if it has none) and per side of that cut the
-    side's piece, its vertex order in this piece and its cross neighbours
-    (side-local ids of the cut's neighbours)."""
+    its least cut vertex (None if it has none) and per side of that cut (a
+    component of the rest plus the cut vertex, largest side last) the side's
+    piece, its vertex order in this piece and the cut vertex's id in it."""
 
     __slots__ = ("index", "graph", "cut", "sides")
 
@@ -271,7 +270,7 @@ class _Piece:
         self.index = index
         self.graph = graph
         self.cut: int | None = None
-        self.sides: list[tuple[_Piece, list[int], list[int]]] | None = None
+        self.sides: list[tuple[_Piece, list[int], int]] | None = None
 
 
 class _SearchState:
@@ -304,11 +303,10 @@ def _split(piece: _Piece, state: _SearchState) -> None:
     if not cuts:
         return
     cut = piece.cut = cuts[0]
-    nbrs = set(g.neighbors(cut))
     for comp in connected_components(g, (cut,)):
-        side, order = induced_subgraph(g, comp)
-        cross = [i for i, v in enumerate(order) if v in nbrs]
-        piece.sides.append((state.piece(side), order, cross))
+        side, order = induced_subgraph(g, comp + [cut])
+        piece.sides.append((state.piece(side), order, order.index(cut)))
+    piece.sides.sort(key=lambda entry: entry[0].graph.n)
 
 
 @lru_cache(maxsize=1024)
@@ -319,15 +317,10 @@ def _parity_profile(values: tuple[int, ...]) -> tuple[int, int, int]:
     return (not parities, len(parities) == 2, parities == {1})
 
 
-def _parity_summary(candidates: Sequence[Sequence[int]]) -> list[int]:
-    """Per flag of `_parity_profile`, how many vertices raise it."""
-    return [sum(flags) for flags in zip((0, 0, 0), *map(_parity_profile, candidates))]
-
-
 def _parity_impossible(candidates: Sequence[Sequence[int]]) -> bool:
     """True when every vertex has parity-pure candidates and the forced total
     degree sum is odd (no subgraph can realize it, by handshake)."""
-    empty, mixed, odd = _parity_summary(candidates)
+    empty, mixed, odd = (sum(flags) for flags in zip((0, 0, 0), *map(_parity_profile, candidates)))
     return not empty and not mixed and odd % 2 == 1
 
 
@@ -386,66 +379,48 @@ def _solve_at_cut_vertex(
     candidates: tuple[tuple[int, ...], ...],
     state: _SearchState,
 ) -> Generator[tuple[_Piece, tuple], list[Edge] | None, list[Edge] | None]:
-    """Decompose at a cut vertex: each side is solved independently per cross-
-    edge subset, then the sides are combined so the cut vertex's own degree
-    (the number of chosen cross edges) lands on an allowed value. Yields each
-    side sub-problem and receives its solution."""
+    """Decompose at a cut vertex c, which every side keeps: each side but the
+    largest is solved once per degree c can take in it, and the largest once,
+    with c's candidates lowered by every total the other sides can reach.
+    Yields each side sub-problem and receives its solution."""
     cut = piece.cut
     max_cut_degree = max(candidates[cut])
-    # feasible[i]: cross-edge count -> side edges plus chosen cross edges
-    feasible: list[dict[int, list[Edge]]] = []
-    for side, order, cross in piece.sides:
-        degree = side.graph.degree
-        # Candidates never exceed a vertex's piece degree, so only cross vertices
-        # (one edge short on the side) lose any. A subset's cross vertices take a
-        # cut edge each, shifting candidates and parity summary: O(|subset|).
-        base = [candidates[v] for v in order]
-        shifted = {i: tuple(a - 1 for a in base[i] if a >= 1) for i in cross}
-        for i in cross:
-            base[i] = tuple(a for a in base[i] if a <= degree(i))
-        delta = {i: [s - b for s, b in zip(*map(_parity_profile, (shifted[i], base[i])))] for i in cross}
-        summary = _parity_summary(base)
-        by_size: dict[int, list[Edge]] = {}
-        for size in range(min(len(cross), max_cut_degree) + 1):
-            for subset in itertools.combinations(cross, size):
-                state.charge()
-                empty, mixed, odd = summary
-                for i in subset:
-                    e, m, o = delta[i]
-                    empty, mixed, odd = empty + e, mixed + m, odd + o
-                if empty or (not mixed and odd % 2 == 1):
-                    continue
-                reduced = list(base)
-                for i in subset:
-                    reduced[i] = shifted[i]
-                solved = yield side, tuple(reduced)
-                if solved is not None:
-                    by_size[size] = [(order[u], order[v]) for u, v in solved] + [
-                        (cut, order[i]) if cut < order[i] else (order[i], cut) for i in subset
-                    ]
-                    break  # any one subset of this size is interchangeable
-        if not by_size:
-            return None
-        feasible.append(by_size)
-
-    # Combine: pick one cross-edge count per side summing to an allowed value.
+    # reachable: c's degree summed over the sides so far -> its degree per side
     reachable: dict[int, list[int]] = {0: []}
-    for i, by_size in enumerate(feasible):
+    feasible: list[dict[int, list[Edge]]] = []  # per side: c's degree -> side edges
+    for side, order, c in piece.sides[:-1]:
+        reduced = [candidates[v] for v in order]
+        by_degree: dict[int, list[Edge]] = {}
+        for s in range(min(side.graph.degree(c), max_cut_degree) + 1):
+            reduced[c] = (s,)
+            state.charge()
+            solved = yield side, tuple(reduced)
+            if solved is not None:
+                by_degree[s] = [(order[u], order[v]) for u, v in solved]
         nxt: dict[int, list[int]] = {}
         for total, choice in sorted(reachable.items()):
-            for size in sorted(by_size):
-                t = total + size
-                if t <= max_cut_degree and t not in nxt:
-                    nxt[t] = choice + [size]
+            for s in by_degree:
+                if total + s <= max_cut_degree and total + s not in nxt:
+                    nxt[total + s] = choice + [s]
         reachable = nxt
         if not reachable:
             return None
-    target = next((t for t in sorted(reachable) if t in candidates[cut]), None)
-    if target is None:
+        feasible.append(by_degree)
+    side, order, c = piece.sides[-1]
+    degree = side.graph.degree(c)
+    reduced = [candidates[v] for v in order]
+    reduced[c] = tuple(sorted({a - t for a in candidates[cut] for t in reachable if 0 <= a - t <= degree}))
+    if not reduced[c]:
         return None
-    edges: list[Edge] = []
-    for i, size in enumerate(reachable[target]):
-        edges.extend(feasible[i][size])
+    state.charge()
+    solved = yield side, tuple(reduced)
+    if solved is None:
+        return None
+    s = sum(c in e for e in solved)
+    total = next(t for t in sorted(reachable) if s + t in candidates[cut])
+    edges = [(order[u], order[v]) for u, v in solved]
+    for by_degree, s in zip(feasible, reachable[total]):
+        edges.extend(by_degree[s])
     return edges
 
 
@@ -495,8 +470,8 @@ def h_factor_decide(
     degree in spec? The search space is the set of per-vertex assignments
     drawn from spec, pruned by parity, cut vertices and relaxation; NotExists
     means that space was provably exhausted. The budget counts each branch
-    and bound node and each cross-edge subset tried at a cut vertex; a
-    negative budget is a ValueError."""
+    and bound node and each side query at a cut vertex; a negative budget
+    is a ValueError."""
     if budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {budget}")
     comps = connected_components(g)

@@ -16,7 +16,7 @@ graph, hubs and spec and comparing, without any factor search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .graph import Graph, connected_components, edge_connectivity, is_connected, regularity
@@ -41,15 +41,7 @@ class GallaiReport:
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "k": self.k,
-            "n_even": self.n_even,
-            "bounds_ok": self.bounds_ok,
-            "applicable": self.applicable,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def gallai_check(g: Graph, k: int) -> GallaiReport:

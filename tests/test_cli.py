@@ -320,6 +320,10 @@ def test_convert_malformed(tmp_path, capsys):
     path.write_text("p edge x\n")
     assert run(["convert", "--from", "dimacs", "--to", "graph6",
                 "--in", str(path)]) == 2
+    path.write_text("p edge 2 1\ne 0 1\n")
+    assert run(["convert", "--from", "dimacs", "--to", "graph6",
+                "--in", str(path)]) == 2
+    assert "vertex id 0" in capsys.readouterr().err
 
 
 def test_convert_too_large_for_graph6(tmp_path, capsys):

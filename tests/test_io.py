@@ -109,6 +109,11 @@ def test_dimacs_rejects_bad_input():
         from_dimacs("p edge 3 2\ne 1 2\n")
     with pytest.raises(ValueError, match="unrecognized"):
         from_dimacs("p edge 2 1\nq 1 2\n")
+    # Ids are 1-based: 0 and n + 1 are out of range, named as written.
+    with pytest.raises(ValueError, match=r"line 2: vertex id 0 outside 1\.\.2"):
+        from_dimacs("p edge 2 1\ne 0 1\n")
+    with pytest.raises(ValueError, match=r"line 3: vertex id 3 outside 1\.\.2"):
+        from_dimacs("p edge 2 1\nc comment\ne 1 3\n")
 
 
 def test_edge_list_roundtrip():

@@ -238,7 +238,7 @@ def test_h_factor_parity_shortcut():
 
 
 def test_h_factor_budget_is_honest():
-    g = random_regular_graph(10, 5, random.Random(6), require_connected=True)
+    g = random_regular_graph(10, 5, random.Random(6))
     dec = h_factor_decide(g, FactorSpec.of(1, 2), budget=0)
     assert dec.verdict == INCONCLUSIVE and dec.method == "budget"
     full = h_factor_decide(g, FactorSpec.of(1, 2))
@@ -255,6 +255,17 @@ def test_two_hub_probe_is_one_node():
     assert dec.nodes_explored <= 2
     dec = h_factor_decide(g, FactorSpec.of(1, 3), budget=0)
     assert (dec.verdict, dec.method, dec.nodes_explored) == (INCONCLUSIVE, "budget", 1)
+
+
+@pytest.mark.parametrize("r, k", [(16, 7), (20, 9)])
+def test_g2_is_one_query_per_cut_degree(r, k):
+    # Each side keeps its cut vertex, so G2 splits at hub u and then at hub v,
+    # and each side is queried once per degree the hub can take in it: 48 and
+    # 60 nodes, well inside the budget.
+    g = build_g2(r).graph
+    spec = FactorSpec.complementary(k, r)
+    dec = h_factor_decide(g, spec, budget=1000)
+    assert dec.verdict == EXISTS and verify_factor(g, dec.certificate, spec)
 
 
 def test_branching_refutes_a_feasible_hull(monkeypatch):
@@ -390,34 +401,39 @@ def test_answers_pinned(decisions, want):
 def test_family_verdicts_pinned():
     # Verdicts, methods and node counts without certificates: a change of
     # gadget may pick another factor, but never another answer or search.
+    # Re-derived when each side kept its cut vertex and was queried once per
+    # cut degree instead of once per cross-edge subset.
     assert _decisions_digest(_family_decisions(), certificates=False) == (
-        "afb19c8caef42bf78103000dab4ec315df903870ec83f4c4d91bb2a4415ea242"
+        "c9a22791432f3162651870f5b3b60b9a900cf12361814bcea74753a193933e6d"
     )
 
 
 def test_family_decisions_pinned():
     # Verdicts, methods, certificates and node counts; re-derived when the
-    # gadget took the smaller side at each vertex, which finds other factors.
+    # gadget took the smaller side at each vertex, which finds other factors,
+    # and when sides were queried once per cut degree.
     assert _decisions_digest(_family_decisions(), certificates=True) == (
-        "b14cc2d11a80d759d7ea4c2397dffccaecf3b1a02417757921c7a5fc04897027"
+        "e3623e0f79b86cbf875a4f9e6c5391f82972a9497b975a95d1290acb33b1c7c0"
     )
 
 
 def test_block_tree_verdicts_pinned():
     # Re-derived when blocks were decided by branch and bound: node counts
     # moved under {1,2} and {2,3}, where a block's hull finds a factor the
-    # first assignment misses.
+    # first assignment misses, and again when sides were queried once per
+    # cut degree.
     assert _decisions_digest(_block_tree_decisions(), certificates=False) == (
-        "066786c56fec5636203adfac18f52ad2d9b4095aeda902c3c6ddcd67b94a3d6d"
+        "70292d95031e6a61ddb531feafb6e3072cad8a19f52fba2db92a41a48228b65e"
     )
 
 
 def test_block_tree_decisions_pinned():
     # Deep cut structure that the families and the n <= 5 census never reach;
     # re-derived for the smaller-side gadget, again with the verdict pin, and
-    # when endpoints listed their gadget first, which finds other factors.
+    # when endpoints listed their gadget first, which finds other factors,
+    # and when sides were queried once per cut degree.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "548278affb8311531a0fb451b5973724a9e9b7f1d6ead9c1edae688a9f6c4512"
+        "06f79d6c3879a5b72b8e3d64e2b8e3be7356e6388f4be289277aa0c9d6502ed0"
     )
 
 
@@ -439,7 +455,7 @@ def test_piece_table_builds_each_piece_once(monkeypatch):
     dec = h_factor_decide(build_g1(14).graph, FactorSpec.of(1, 13))
     assert dec.verdict == NOT_EXISTS and dec.nodes_explored > len(induced)
     # The hub piece and its seven identical blocks: one split each, and each
-    # side induced once per search rather than once per cross-edge subset.
+    # side induced once per search rather than once per query.
     assert len(articulation) == len(set(articulation)) == 2
     assert len(induced) == len(set(induced))
 
@@ -454,7 +470,8 @@ def test_memo_tells_equal_sized_pieces_apart():
     assert not brute_force_h_factor(g, FactorSpec.of(1)).exists
 
 def test_deep_block_cut_tree_needs_no_recursion():
-    # A path's least cut vertex peels one leaf per level: 149 levels on P_300.
+    # Each side keeps the least cut vertex, so a path sheds one leaf per
+    # level: 298 levels on P_300.
     g = path_graph(300)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
