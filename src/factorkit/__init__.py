@@ -14,6 +14,7 @@ from .constructions import (
 from .graph import (
     Graph,
     articulation_points,
+    biconnected_blocks,
     connected_components,
     edge_connectivity,
     from_edges,
@@ -60,6 +61,7 @@ __all__ = [
     "Graph",
     "NoFactorCertificate",
     "articulation_points",
+    "biconnected_blocks",
     "brute_force_h_factor",
     "build_g1",
     "build_g2",

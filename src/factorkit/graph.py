@@ -7,7 +7,7 @@ threads; every operation in this module is a pure function of its inputs.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -223,36 +223,48 @@ def _unit_max_flow(head: list[int], arcs_of: list[list[int]], source: list[bool]
     return flow
 
 
-def articulation_points(g: Graph) -> list[int]:
-    """Cut vertices, ascending (iterative lowlink DFS, one neighbour iterator per frame)."""
+def biconnected_blocks(g: Graph) -> list[list[int]]:
+    """Blocks (maximal biconnected subgraphs, bridges included) as sorted
+    vertex lists; an isolated vertex lies in no block. One iterative lowlink
+    DFS (Hopcroft-Tarjan 1973) per component, from its least vertex, lists a
+    block when its top vertex finishes: after every block below it, so a
+    component's blocks are consecutive and the last holds its least vertex.
+    """
     disc = [-1] * g.n
     low = [0] * g.n
-    cut = [False] * g.n
+    blocks: list[list[int]] = []
     timer = 0
     for root in range(g.n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer = timer + 1
-        root_children = 0
-        stack = [(root, -1, iter(g.neighbors(root)))]
+        visited = [root]
+        # A frame holds v, its DFS parent, its neighbour iterator and v's place in visited.
+        stack = [(root, -1, iter(g.neighbors(root)), 0)]
         while stack:
-            v, parent, nbrs = stack[-1]
+            v, parent, nbrs, at = stack[-1]
             for w in nbrs:
                 if disc[w] == -1:
                     disc[w] = low[w] = timer = timer + 1
-                    stack.append((w, v, iter(g.neighbors(w))))
+                    stack.append((w, v, iter(g.neighbors(w)), len(visited)))
+                    visited.append(w)
                     break
                 if w != parent and disc[w] < low[v]:
                     low[v] = disc[w]
             else:
                 stack.pop()
-                if parent == root:
-                    root_children += 1
-                elif parent != -1:
+                if parent != -1:
                     low[parent] = min(low[parent], low[v])
-                    cut[parent] |= low[v] >= disc[parent]
-        cut[root] = root_children >= 2
-    return [v for v in range(g.n) if cut[v]]
+                    if low[v] >= disc[parent]:
+                        blocks.append(sorted(visited[at:] + [parent]))
+                        del visited[at:]
+    return blocks
+
+
+def articulation_points(g: Graph) -> list[int]:
+    """Cut vertices, ascending: the vertices that lie in two or more blocks."""
+    count = Counter(v for block in biconnected_blocks(g) for v in block)
+    return sorted(v for v, k in count.items() if k >= 2)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

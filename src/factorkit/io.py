@@ -103,22 +103,36 @@ def from_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            n, m = int(parts[2]), int(parts[3])
+            n, m = _dimacs_ints(lineno, line, parts[2:])
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-            ends.append((lineno, int(parts[1]), int(parts[2])))
+            ends.append((lineno, *_dimacs_ints(lineno, line, parts[1:])))
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None or m is None:
         raise ValueError("missing 'p edge n m' line")
     if len(ends) != m:
         raise ValueError(f"problem line promises {m} edges, found {len(ends)}")
-    for lineno, *ids in ends:
-        for x in ids:
+    first_seen: dict[tuple[int, int], int] = {}
+    for lineno, u, v in ends:
+        for x in (u, v):
             if not 1 <= x <= n:
                 raise ValueError(f"line {lineno}: vertex id {x} outside 1..{n}")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+        edge = (min(u, v), max(u, v))
+        if edge in first_seen:
+            raise ValueError(f"line {lineno}: edge {u} {v} repeats line {first_seen[edge]}")
+        first_seen[edge] = lineno
     return Graph(n, tuple((u - 1, v - 1) for _, u, v in ends))
+
+
+def _dimacs_ints(lineno: int, line: str, fields: list[str]) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
 
 
 def to_edge_list(g: Graph) -> str:

@@ -12,21 +12,21 @@ matcher's greedy seed is a greedy factor of the host and leaves few
 vertices to augmenting searches (Magun 1998).
 
 Degree-set queries search over per-vertex candidate degrees on top of that
-engine. The search decomposes at cut vertices when the graph has them, which
-is what makes hub-and-blocks families tractable: each side keeps the cut
-vertex, every side but the largest is queried once per degree the cut vertex
-can take in it, and the largest once, with the cut vertex's candidates
-lowered by each total the other sides can reach. A piece with no cut vertex
-is decided by branch and bound: a node tries every vertex at its lowest
+engine. The search runs one pass over one block decomposition (Hopcroft and
+Tarjan 1973), which is what makes hub-and-blocks families tractable: each
+component is rooted at its largest block, every other block keeps the cut
+vertex it hangs from and is queried once per degree that vertex can take in
+it, leaves first, with every other vertex's candidates lowered by the totals
+its own child blocks can reach, and the root is queried once. A block is
+decided by branch and bound: a node tries every vertex at its lowest
 candidate, then relaxes each vertex's candidates to their window, which is
 exact when no gap exceeds 1 (Cornuejols 1988), and splits the candidates of
-a vertex whose relaxed degree falls in a gap. Each search keeps a piece
-table: every distinct relabeled piece, keyed by its (n, edges), is induced
-(without re-validation) and split at its least cut vertex once, and the memo
-is keyed by (piece id, candidate degrees), so identical blocks share
-entries. The cut-vertex search runs on an explicit stack, so deep block-cut
-trees need no recursion. "Not exists" only ever follows a provably exhausted
-space; running out of node budget yields "inconclusive".
+a vertex whose relaxed degree falls in a gap. Each block is induced (without
+re-validation) once per search, a block spanning the host is not induced at
+all, and queries are memoized by (block n, block edges, candidate degrees),
+so identical blocks share entries. The pass is flat loops, so deep
+block-cut trees need no recursion. "Not exists" only ever follows a
+provably exhausted space; running out of node budget yields "inconclusive".
 
 Even-regular hosts get even-degree factors by construction instead
 (Petersen 1891): one Euler orientation, then r/2 perfect matchings peeled
@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, articulation_points, connected_components, induced_subgraph, regularity
+from .graph import Graph, biconnected_blocks, connected_components, induced_subgraph, regularity
 from .matching import perfect_matching
 
 EXISTS = "exists"
@@ -258,55 +258,26 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _Piece:
-    """One relabeled piece of the decomposition: its memo id and, once split,
-    its least cut vertex (None if it has none) and per side of that cut (a
-    component of the rest plus the cut vertex, largest side last) the side's
-    piece, its vertex order in this piece and the cut vertex's id in it."""
-
-    __slots__ = ("index", "graph", "cut", "sides")
-
-    def __init__(self, index: int, graph: Graph) -> None:
-        self.index = index
-        self.graph = graph
-        self.cut: int | None = None
-        self.sides: list[tuple[_Piece, list[int], int]] | None = None
-
-
 class _SearchState:
-    __slots__ = ("budget", "nodes", "memo", "pieces")
+    __slots__ = ("budget", "nodes", "memo")
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.nodes = 0
         self.memo: dict = {}
-        self.pieces: dict[tuple, _Piece] = {}
 
-    def charge(self, amount: int = 1) -> None:
-        self.nodes += amount
+    def charge(self) -> None:
+        self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExceeded
 
-    def piece(self, graph: Graph) -> _Piece:
-        """The table's record for this relabeled piece, added on first sight."""
-        key = (graph.n, graph.edges)
-        if key not in self.pieces:
-            self.pieces[key] = _Piece(len(self.pieces), graph)
-        return self.pieces[key]
-
-
-def _split(piece: _Piece, state: _SearchState) -> None:
-    """Fill in the piece's cut vertex and sides; done once per piece."""
-    g = piece.graph
-    cuts = articulation_points(g)
-    piece.sides = []
-    if not cuts:
-        return
-    cut = piece.cut = cuts[0]
-    for comp in connected_components(g, (cut,)):
-        side, order = induced_subgraph(g, comp + [cut])
-        piece.sides.append((state.piece(side), order, order.index(cut)))
-    piece.sides.sort(key=lambda entry: entry[0].graph.n)
+    def query(self, block: Graph, candidates: tuple[tuple[int, ...], ...]) -> list[Edge] | None:
+        """Factor edges of the block in its own labels, or None, memoized by
+        (block n, block edges, candidates), so identical blocks share entries."""
+        key = (block.n, block.edges, candidates)
+        if key not in self.memo:
+            self.memo[key] = _solve_by_relaxation(block, candidates, self)
+        return self.memo[key]
 
 
 @lru_cache(maxsize=1024)
@@ -324,104 +295,102 @@ def _parity_impossible(candidates: Sequence[Sequence[int]]) -> bool:
     return not empty and not mixed and odd % 2 == 1
 
 
-def _solve_vertices(
+def _solve_blocks(
     g: Graph, comps: list[list[int]], allowed: Sequence[tuple[int, ...]], state: _SearchState
 ) -> list[Edge] | None:
     """Factor edges of g where each vertex v ends with degree in allowed[v],
-    or None if impossible; each of g's components is solved as one piece."""
-    out: list[Edge] = []
+    or None if impossible. Each component is rooted at its largest block.
+    Leaves first, every other block is queried once per degree the vertex it
+    hangs from can take in it, and the root once, with each other vertex's
+    candidates lowered by the totals its child blocks reach. Top down, each
+    vertex takes the least child total that completes its degree."""
+    if any(_parity_impossible(tuple(allowed[v] for v in comp)) for comp in comps):
+        return None
+    blocks = biconnected_blocks(g)
+    if len(blocks) == 1 and len(blocks[0]) == g.n:
+        return state.query(g, tuple(allowed))
+    blocks_of: list[list[int]] = [[] for _ in range(g.n)]
+    for i, block in enumerate(blocks):
+        for v in block:
+            blocks_of[v].append(i)
+    # Components and their runs of blocks come in the same order, and a run
+    # ends with the last block holding the component's least vertex.
+    order: list[int] = []
+    first = 0
     for comp in comps:
-        sub, order = (g, comp) if len(comp) == g.n else induced_subgraph(g, comp)
-        candidates = tuple(allowed[v] for v in comp)
-        if _parity_impossible(candidates):
+        if blocks_of[comp[0]]:  # else an isolated vertex, whose allowed holds 0
+            last = blocks_of[comp[0]][-1]
+            order.append(max(range(first, last + 1), key=lambda i: len(blocks[i])))
+            first = last + 1
+    # Breadth first from the roots: every block but the root holding v hangs
+    # from v, so order lists each block before the blocks below it.
+    attach = [-1] * len(blocks)
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for i in order:
+        for v in blocks[i]:
+            if v != attach[i]:
+                for j in blocks_of[v]:
+                    if j != i:
+                        attach[j] = v
+                        children[v].append(j)
+                        order.append(j)
+    # by_degree[i]: attachment's degree in block i -> block edges in its labels;
+    # reach[v]: total over v's child blocks -> v's degree in each.
+    by_degree: list[dict[int, list[Edge]]] = [{} for _ in blocks]
+    reach: dict[int, dict[int, list[int]]] = {}
+    chosen: list[list[Edge] | None] = [None] * len(blocks)
+    for i in reversed(order):
+        block = blocks[i]
+        sub, _ = induced_subgraph(g, block)
+        candidates = []
+        for j, v in enumerate(block):
+            if children[v] and v != attach[i]:
+                reach[v] = totals = _child_totals(children[v], by_degree, allowed[v][-1])
+                lowered = {a - t for a in allowed[v] for t in totals if 0 <= a - t <= sub.degree(j)}
+                if not lowered:
+                    return None
+                candidates.append(tuple(sorted(lowered)))
+            else:
+                candidates.append(allowed[v])
+        if attach[i] == -1:
+            chosen[i] = state.query(sub, tuple(candidates))
+            if chosen[i] is None:
+                return None
+            continue
+        c = block.index(attach[i])
+        for s in range(min(sub.degree(c), allowed[attach[i]][-1]) + 1):
+            candidates[c] = (s,)
+            state.charge()
+            edges = state.query(sub, tuple(candidates))
+            if edges is not None:
+                by_degree[i][s] = edges
+        if not by_degree[i]:
             return None
-        ranked = _solve_piece(state.piece(sub), candidates, state)
-        if ranked is None:
-            return None
-        out.extend((order[u], order[v]) for u, v in ranked)
+    out: list[Edge] = []
+    for i in order:
+        block = blocks[i]
+        degrees = subgraph_degrees(len(block), chosen[i])
+        for j, v in enumerate(block):
+            if children[v] and v != attach[i]:
+                total = next(t for t in sorted(reach[v]) if degrees[j] + t in allowed[v])
+                for child, s in zip(children[v], reach[v][total]):
+                    chosen[child] = by_degree[child][s]
+        out.extend((block[u], block[w]) for u, w in chosen[i])
     return out
 
 
-def _solve_piece(
-    piece: _Piece, candidates: tuple[tuple[int, ...], ...], state: _SearchState
-) -> list[Edge] | None:
-    """Factor edges of a piece in its own labels, or None, memoized by
-    (piece id, candidates). Cut-vertex pieces run as generators on an
-    explicit stack, each suspended on the side sub-problem it yielded, so
-    deep block-cut trees need no recursion."""
-    stack: list = []
-    while True:
-        key = (piece.index, candidates)
-        if key in state.memo:
-            result = state.memo[key]
-        else:
-            if piece.sides is None:
-                _split(piece, state)
-            if piece.cut is None:
-                result = state.memo[key] = _solve_by_relaxation(piece.graph, candidates, state)
-            else:
-                stack.append((key, _solve_at_cut_vertex(piece, candidates, state)))
-                result = None
-        while stack:
-            key, solver = stack[-1]
-            try:
-                piece, candidates = solver.send(result)
-                break
-            except StopIteration as done:
-                stack.pop()
-                result = state.memo[key] = done.value
-        else:
-            return result
-
-
-def _solve_at_cut_vertex(
-    piece: _Piece,
-    candidates: tuple[tuple[int, ...], ...],
-    state: _SearchState,
-) -> Generator[tuple[_Piece, tuple], list[Edge] | None, list[Edge] | None]:
-    """Decompose at a cut vertex c, which every side keeps: each side but the
-    largest is solved once per degree c can take in it, and the largest once,
-    with c's candidates lowered by every total the other sides can reach.
-    Yields each side sub-problem and receives its solution."""
-    cut = piece.cut
-    max_cut_degree = max(candidates[cut])
-    # reachable: c's degree summed over the sides so far -> its degree per side
+def _child_totals(children: list[int], by_degree: list[dict[int, list[Edge]]], cap: int) -> dict[int, list[int]]:
+    """Each total up to cap of one degree per child block from its by_degree,
+    mapped to the first such choice in ascending order of partial totals."""
     reachable: dict[int, list[int]] = {0: []}
-    feasible: list[dict[int, list[Edge]]] = []  # per side: c's degree -> side edges
-    for side, order, c in piece.sides[:-1]:
-        reduced = [candidates[v] for v in order]
-        by_degree: dict[int, list[Edge]] = {}
-        for s in range(min(side.graph.degree(c), max_cut_degree) + 1):
-            reduced[c] = (s,)
-            state.charge()
-            solved = yield side, tuple(reduced)
-            if solved is not None:
-                by_degree[s] = [(order[u], order[v]) for u, v in solved]
+    for child in children:
         nxt: dict[int, list[int]] = {}
         for total, choice in sorted(reachable.items()):
-            for s in by_degree:
-                if total + s <= max_cut_degree and total + s not in nxt:
+            for s in by_degree[child]:
+                if total + s <= cap and total + s not in nxt:
                     nxt[total + s] = choice + [s]
         reachable = nxt
-        if not reachable:
-            return None
-        feasible.append(by_degree)
-    side, order, c = piece.sides[-1]
-    degree = side.graph.degree(c)
-    reduced = [candidates[v] for v in order]
-    reduced[c] = tuple(sorted({a - t for a in candidates[cut] for t in reachable if 0 <= a - t <= degree}))
-    if not reduced[c]:
-        return None
-    state.charge()
-    solved = yield side, tuple(reduced)
-    if solved is None:
-        return None
-    s = sum(c in e for e in solved)
-    total = next(t for t in sorted(reachable) if s + t in candidates[cut])
-    edges = [(order[u], order[v]) for u, v in solved]
-    for by_degree, s in zip(feasible, reachable[total]):
-        edges.extend(by_degree[s])
-    return edges
+    return reachable
 
 
 def _solve_by_relaxation(
@@ -468,10 +437,10 @@ def h_factor_decide(
 ) -> Decision:
     """Exact decision: does g have a spanning subgraph with every vertex
     degree in spec? The search space is the set of per-vertex assignments
-    drawn from spec, pruned by parity, cut vertices and relaxation; NotExists
-    means that space was provably exhausted. The budget counts each branch
-    and bound node and each side query at a cut vertex; a negative budget
-    is a ValueError."""
+    drawn from spec, pruned by parity, the block-cut tree and relaxation;
+    NotExists means that space was provably exhausted. The budget counts
+    each branch and bound node and each query of a non-root block; a
+    negative budget is a ValueError."""
     if budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {budget}")
     comps = connected_components(g)
@@ -483,7 +452,7 @@ def h_factor_decide(
         return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, 0)
     state = _SearchState(budget)
     try:
-        edges = _solve_vertices(g, comps, allowed, state)
+        edges = _solve_blocks(g, comps, allowed, state)
     except _BudgetExceeded:
         return Decision(INCONCLUSIVE, METHOD_BUDGET, None, state.nodes)
     if edges is None:

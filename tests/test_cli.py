@@ -324,6 +324,10 @@ def test_convert_malformed(tmp_path, capsys):
     assert run(["convert", "--from", "dimacs", "--to", "graph6",
                 "--in", str(path)]) == 2
     assert "vertex id 0" in capsys.readouterr().err
+    path.write_text("p edge 2 1\ne a 1\n")
+    assert run(["convert", "--from", "dimacs", "--to", "graph6",
+                "--in", str(path)]) == 2
+    assert "line 2: non-integer field" in capsys.readouterr().err
 
 
 def test_convert_too_large_for_graph6(tmp_path, capsys):

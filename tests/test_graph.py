@@ -8,6 +8,7 @@ import factorkit.graph as graph_module
 from factorkit.graph import (
     Graph,
     articulation_points,
+    biconnected_blocks,
     connected_components,
     edge_connectivity,
     from_edges,
@@ -363,6 +364,47 @@ def test_articulation_points_need_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert cuts == list(range(1, 4999))
+
+
+def test_biconnected_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    count = 0
+    for g in _articulation_corpus(random.Random(1973)):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        blocks = biconnected_blocks(g)
+        assert all(block == sorted(block) for block in blocks)
+        assert sorted(blocks) == sorted(sorted(b) for b in nx.biconnected_components(h)), g.edges
+        # A component's blocks are consecutive, its last block holds its least
+        # vertex, and every other block shares exactly one vertex with the
+        # blocks after it: the one it hangs from.
+        comps = [c for c in connected_components(g) if len(c) > 1]
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        runs = [comp_of[block[0]] for block in blocks]
+        assert runs == sorted(runs)
+        later: set[int] = set()
+        for i in reversed(range(len(blocks))):
+            if i + 1 == len(blocks) or runs[i + 1] != runs[i]:
+                assert blocks[i][0] == comps[runs[i]][0]
+                later = set()
+            else:
+                assert len(later.intersection(blocks[i])) == 1
+            later.update(blocks[i])
+        count += 1
+    assert count == 500
+
+
+def test_biconnected_blocks_need_no_recursion():
+    g = path_graph(5000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        blocks = biconnected_blocks(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    # The search from vertex 0 lists the far end first.
+    assert blocks == [[v, v + 1] for v in reversed(range(4999))]
 
 
 def test_induced_subgraph_relabels():

@@ -114,6 +114,14 @@ def test_dimacs_rejects_bad_input():
         from_dimacs("p edge 2 1\ne 0 1\n")
     with pytest.raises(ValueError, match=r"line 3: vertex id 3 outside 1\.\.2"):
         from_dimacs("p edge 2 1\nc comment\ne 1 3\n")
+    # A non-numeric id names its line, and a self-loop or a repeated edge is
+    # named in the file's 1-based ids, not in Graph's 0-based ones.
+    with pytest.raises(ValueError, match=r"line 2: non-integer field in 'e a 1'"):
+        from_dimacs("p edge 2 1\ne a 1\n")
+    with pytest.raises(ValueError, match=r"line 2: self-loop at vertex 1$"):
+        from_dimacs("p edge 2 1\ne 1 1\n")
+    with pytest.raises(ValueError, match=r"line 4: edge 3 1 repeats line 2"):
+        from_dimacs("p edge 3 3\ne 1 3\ne 2 3\ne 3 1\n")
 
 
 def test_edge_list_roundtrip():

@@ -259,9 +259,9 @@ def test_two_hub_probe_is_one_node():
 
 @pytest.mark.parametrize("r, k", [(16, 7), (20, 9)])
 def test_g2_is_one_query_per_cut_degree(r, k):
-    # Each side keeps its cut vertex, so G2 splits at hub u and then at hub v,
-    # and each side is queried once per degree the hub can take in it: 48 and
-    # 60 nodes, well inside the budget.
+    # The hubs and their shared blocks form the root block, and each other
+    # block is queried once per degree its hub can take in it: 46 and 58
+    # nodes, well inside the budget.
     g = build_g2(r).graph
     spec = FactorSpec.complementary(k, r)
     dec = h_factor_decide(g, spec, budget=1000)
@@ -402,62 +402,85 @@ def test_family_verdicts_pinned():
     # Verdicts, methods and node counts without certificates: a change of
     # gadget may pick another factor, but never another answer or search.
     # Re-derived when each side kept its cut vertex and was queried once per
-    # cut degree instead of once per cross-edge subset.
+    # cut degree instead of once per cross-edge subset, and when the search
+    # became one pass over one block decomposition.
     assert _decisions_digest(_family_decisions(), certificates=False) == (
-        "c9a22791432f3162651870f5b3b60b9a900cf12361814bcea74753a193933e6d"
+        "446f09057c9330f6dc343772cff2de8e9a8b24124fe773b6e836d0f1606a2808"
     )
 
 
 def test_family_decisions_pinned():
     # Verdicts, methods, certificates and node counts; re-derived when the
     # gadget took the smaller side at each vertex, which finds other factors,
-    # and when sides were queried once per cut degree.
+    # when sides were queried once per cut degree, and when the search became
+    # one pass over one block decomposition.
     assert _decisions_digest(_family_decisions(), certificates=True) == (
-        "e3623e0f79b86cbf875a4f9e6c5391f82972a9497b975a95d1290acb33b1c7c0"
+        "928eb6d85133ef7cb37a84b37f7b0c42b3045b3ce651da354d9faedc3b6d22a2"
     )
 
 
 def test_block_tree_verdicts_pinned():
     # Re-derived when blocks were decided by branch and bound: node counts
     # moved under {1,2} and {2,3}, where a block's hull finds a factor the
-    # first assignment misses, and again when sides were queried once per
-    # cut degree.
+    # first assignment misses, again when sides were queried once per cut
+    # degree, and when the search became one pass over one block
+    # decomposition.
     assert _decisions_digest(_block_tree_decisions(), certificates=False) == (
-        "70292d95031e6a61ddb531feafb6e3072cad8a19f52fba2db92a41a48228b65e"
+        "c4700f413051dca8a6e606aa3075101179bd22f22ef5680d0c25f2b0cf0d4242"
     )
 
 
 def test_block_tree_decisions_pinned():
     # Deep cut structure that the families and the n <= 5 census never reach;
-    # re-derived for the smaller-side gadget, again with the verdict pin, and
-    # when endpoints listed their gadget first, which finds other factors,
-    # and when sides were queried once per cut degree.
+    # re-derived for the smaller-side gadget, again with the verdict pin, when
+    # endpoints listed their gadget first, which finds other factors, when
+    # sides were queried once per cut degree, and when the search became one
+    # pass over one block decomposition.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "06f79d6c3879a5b72b8e3d64e2b8e3be7356e6388f4be289277aa0c9d6502ed0"
+        "0fbfbb0a73d56fe10c2bde494edbc5e6cc47d36d37fd50222971fd51317796ad"
     )
 
 
-def test_piece_table_builds_each_piece_once(monkeypatch):
-    real_induced, real_articulation = solver.induced_subgraph, solver.articulation_points
-    induced, articulation = [], []
+def _spy_on_decomposition(monkeypatch):
+    """Record each block decomposition and each induced vertex set the solver asks for."""
+    calls: dict[str, list] = {"blocks": [], "induced": []}
+    real_blocks, real_induced = solver.biconnected_blocks, solver.induced_subgraph
 
-    def counting_induced(g, vertices):
+    def blocks(g):
+        calls["blocks"].append((g.n, g.edges))
+        return real_blocks(g)
+
+    def induced(g, vertices):
         vertices = tuple(vertices)
-        induced.append((g.n, g.edges, vertices))
+        calls["induced"].append((g.n, g.edges, vertices))
         return real_induced(g, vertices)
 
-    def counting_articulation(g):
-        articulation.append((g.n, g.edges))
-        return real_articulation(g)
+    monkeypatch.setattr(solver, "biconnected_blocks", blocks)
+    monkeypatch.setattr(solver, "induced_subgraph", induced)
+    return calls
 
-    monkeypatch.setattr(solver, "induced_subgraph", counting_induced)
-    monkeypatch.setattr(solver, "articulation_points", counting_articulation)
+
+def test_one_decomposition_induces_each_block_once(monkeypatch):
+    # G1(14) is seven blocks that share the hub: one decomposition per
+    # decision, and each block induced once per search rather than once per
+    # query, so there are more queries than inductions.
+    calls = _spy_on_decomposition(monkeypatch)
     dec = h_factor_decide(build_g1(14).graph, FactorSpec.of(1, 13))
-    assert dec.verdict == NOT_EXISTS and dec.nodes_explored > len(induced)
-    # The hub piece and its seven identical blocks: one split each, and each
-    # side induced once per search rather than once per query.
-    assert len(articulation) == len(set(articulation)) == 2
-    assert len(induced) == len(set(induced))
+    assert dec.verdict == NOT_EXISTS and dec.nodes_explored > len(calls["induced"])
+    assert len(calls["blocks"]) == 1
+    assert len(calls["induced"]) == len(set(calls["induced"])) == 7
+
+
+def test_long_path_is_one_pass(monkeypatch):
+    # P_3200 is 3,199 blocks in one chain: each is induced once, and each but
+    # the root is queried once per degree its attachment can take in it.
+    calls = _spy_on_decomposition(monkeypatch)
+    g = path_graph(3200)
+    spec = FactorSpec.of(1, 2)
+    dec = h_factor_decide(g, spec)
+    assert dec.exists and verify_factor(g, dec.certificate, spec)
+    assert dec.nodes_explored <= 2 * g.n
+    assert len(calls["blocks"]) == 1 and len(calls["induced"]) <= g.n - 1
 
 
 def test_memo_tells_equal_sized_pieces_apart():
@@ -470,8 +493,8 @@ def test_memo_tells_equal_sized_pieces_apart():
     assert not brute_force_h_factor(g, FactorSpec.of(1)).exists
 
 def test_deep_block_cut_tree_needs_no_recursion():
-    # Each side keeps the least cut vertex, so a path sheds one leaf per
-    # level: 298 levels on P_300.
+    # P_300 is 299 blocks in one chain, 298 levels below the root, and the
+    # pass over them is flat loops.
     g = path_graph(300)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
