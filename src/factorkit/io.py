@@ -103,11 +103,11 @@ def from_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            n, m = _dimacs_ints(lineno, line, parts[2:])
+            n, m = _line_ints(lineno, line, parts[2:])
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-            ends.append((lineno, *_dimacs_ints(lineno, line, parts[1:])))
+            ends.append((lineno, *_line_ints(lineno, line, parts[1:])))
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None or m is None:
@@ -128,7 +128,7 @@ def from_dimacs(text: str) -> Graph:
     return Graph(n, tuple((u - 1, v - 1) for _, u, v in ends))
 
 
-def _dimacs_ints(lineno: int, line: str, fields: list[str]) -> list[int]:
+def _line_ints(lineno: int, line: str, fields: list[str]) -> list[int]:
     try:
         return [int(x) for x in fields]
     except ValueError:
@@ -144,20 +144,25 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
-    if not lines:
-        raise ValueError("empty edge list")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first edge-list line must be the vertex count, got {lines[0]!r}")
+    n = None
     pairs = []
-    for line in lines[1:]:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge-list line {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        if n is None:
+            if len(parts) != 1:
+                raise ValueError(
+                    f"line {lineno}: first edge-list line must be the vertex count, got {line!r}"
+                )
+            (n,) = _line_ints(lineno, line, parts)
+        elif len(parts) != 2:
+            raise ValueError(f"line {lineno}: malformed edge-list line {line!r}")
+        else:
+            pairs.append(tuple(_line_ints(lineno, line, parts)))
+    if n is None:
+        raise ValueError("empty edge list")
     return Graph(n, tuple(pairs))
 
 

@@ -14,10 +14,13 @@ vertices to augmenting searches (Magun 1998).
 Degree-set queries search over per-vertex candidate degrees on top of that
 engine. The search runs one pass over one block decomposition (Hopcroft and
 Tarjan 1973), which is what makes hub-and-blocks families tractable: each
-component is rooted at its largest block, every other block keeps the cut
-vertex it hangs from and is queried once per degree that vertex can take in
-it, leaves first, with every other vertex's candidates lowered by the totals
-its own child blocks can reach, and the root is queried once. A block is
+component is rooted at its largest block, and every other block keeps the
+cut vertex it hangs from. Leaves first, each such block is queried once per
+degree s that vertex can take in it, and the feasible s are folded into the
+vertex's candidates (each candidate a becomes a - s), which the blocks
+beside and above it then see; the root is queried once. Top down, each
+vertex undoes its folds in reverse, giving each child block the least s
+that keeps its degree a candidate from before that fold. A block is
 decided by branch and bound: a node tries every vertex at its lowest
 candidate, then relaxes each vertex's candidates to their window, which is
 exact when no gap exceeds 1 (Cornuejols 1988), and splits the candidates of
@@ -38,6 +41,7 @@ All functions are pure and the verdicts are deterministic across runs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -301,9 +305,10 @@ def _solve_blocks(
     """Factor edges of g where each vertex v ends with degree in allowed[v],
     or None if impossible. Each component is rooted at its largest block.
     Leaves first, every other block is queried once per degree the vertex it
-    hangs from can take in it, and the root once, with each other vertex's
-    candidates lowered by the totals its child blocks reach. Top down, each
-    vertex takes the least child total that completes its degree."""
+    hangs from can take in it, and those degrees are folded into that
+    vertex's candidates; the root is queried once. Top down, each vertex
+    unfolds its child blocks in reverse, each at the least degree that
+    keeps its total a candidate from before that child's fold."""
     if any(_parity_impossible(tuple(allowed[v] for v in comp)) for comp in comps):
         return None
     blocks = biconnected_blocks(g)
@@ -325,72 +330,55 @@ def _solve_blocks(
     # Breadth first from the roots: every block but the root holding v hangs
     # from v, so order lists each block before the blocks below it.
     attach = [-1] * len(blocks)
-    children: list[list[int]] = [[] for _ in range(g.n)]
     for i in order:
         for v in blocks[i]:
             if v != attach[i]:
                 for j in blocks_of[v]:
                     if j != i:
                         attach[j] = v
-                        children[v].append(j)
                         order.append(j)
     # by_degree[i]: attachment's degree in block i -> block edges in its labels;
-    # reach[v]: total over v's child blocks -> v's degree in each.
+    # folds[v]: (child block, v's candidates before folding it in), in order.
+    allowed = list(allowed)
     by_degree: list[dict[int, list[Edge]]] = [{} for _ in blocks]
-    reach: dict[int, dict[int, list[int]]] = {}
+    folds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.n)]
     chosen: list[list[Edge] | None] = [None] * len(blocks)
     for i in reversed(order):
-        block = blocks[i]
+        block, v = blocks[i], attach[i]
         sub, _ = induced_subgraph(g, block)
-        candidates = []
-        for j, v in enumerate(block):
-            if children[v] and v != attach[i]:
-                reach[v] = totals = _child_totals(children[v], by_degree, allowed[v][-1])
-                lowered = {a - t for a in allowed[v] for t in totals if 0 <= a - t <= sub.degree(j)}
-                if not lowered:
-                    return None
-                candidates.append(tuple(sorted(lowered)))
-            else:
-                candidates.append(allowed[v])
-        if attach[i] == -1:
+        candidates = [allowed[u] if u == v else allowed[u][:bisect_right(allowed[u], sub.degree(j))]
+                      for j, u in enumerate(block)]
+        if not all(candidates):
+            return None
+        if v == -1:
             chosen[i] = state.query(sub, tuple(candidates))
             if chosen[i] is None:
                 return None
             continue
-        c = block.index(attach[i])
-        for s in range(min(sub.degree(c), allowed[attach[i]][-1]) + 1):
+        c = block.index(v)
+        for s in range(min(sub.degree(c), allowed[v][-1]) + 1):
             candidates[c] = (s,)
             state.charge()
             edges = state.query(sub, tuple(candidates))
             if edges is not None:
                 by_degree[i][s] = edges
-        if not by_degree[i]:
+        folds[v].append((i, allowed[v]))
+        allowed[v] = tuple(sorted({a - s for a in allowed[v] for s in by_degree[i] if a >= s}))
+        if not allowed[v]:
             return None
     out: list[Edge] = []
     for i in order:
         block = blocks[i]
         degrees = subgraph_degrees(len(block), chosen[i])
         for j, v in enumerate(block):
-            if children[v] and v != attach[i]:
-                total = next(t for t in sorted(reach[v]) if degrees[j] + t in allowed[v])
-                for child, s in zip(children[v], reach[v][total]):
+            if v != attach[i]:
+                d = degrees[j]
+                for child, before in reversed(folds[v]):
+                    s = next(s for s in by_degree[child] if d + s in before)
                     chosen[child] = by_degree[child][s]
+                    d += s
         out.extend((block[u], block[w]) for u, w in chosen[i])
     return out
-
-
-def _child_totals(children: list[int], by_degree: list[dict[int, list[Edge]]], cap: int) -> dict[int, list[int]]:
-    """Each total up to cap of one degree per child block from its by_degree,
-    mapped to the first such choice in ascending order of partial totals."""
-    reachable: dict[int, list[int]] = {0: []}
-    for child in children:
-        nxt: dict[int, list[int]] = {}
-        for total, choice in sorted(reachable.items()):
-            for s in by_degree[child]:
-                if total + s <= cap and total + s not in nxt:
-                    nxt[total + s] = choice + [s]
-        reachable = nxt
-    return reachable
 
 
 def _solve_by_relaxation(

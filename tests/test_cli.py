@@ -328,6 +328,10 @@ def test_convert_malformed(tmp_path, capsys):
     assert run(["convert", "--from", "dimacs", "--to", "graph6",
                 "--in", str(path)]) == 2
     assert "line 2: non-integer field" in capsys.readouterr().err
+    path.write_text("3\n\n0 1 2\n")
+    assert run(["convert", "--from", "edges", "--to", "graph6",
+                "--in", str(path)]) == 2
+    assert "line 3: malformed edge-list line" in capsys.readouterr().err
 
 
 def test_convert_too_large_for_graph6(tmp_path, capsys):

@@ -130,6 +130,20 @@ def test_edge_list_roundtrip():
     assert to_edge_list(Graph(3, ())) == "3\n"
 
 
+def test_edge_list_rejects_bad_input():
+    # Each error names its 1-based line, counting the blank lines skipped.
+    with pytest.raises(ValueError, match="empty edge list"):
+        from_edge_list("\n \n")
+    with pytest.raises(ValueError, match=r"line 1: non-integer field in 'x'"):
+        from_edge_list("x\n")
+    with pytest.raises(ValueError, match=r"line 2: first edge-list line must be the vertex count, got '3 4'"):
+        from_edge_list("\n3 4\n")
+    with pytest.raises(ValueError, match=r"line 2: non-integer field in '0 a'"):
+        from_edge_list("3\n0 a\n")
+    with pytest.raises(ValueError, match=r"line 4: malformed edge-list line '0 1 2'"):
+        from_edge_list("3\n0 1\n\n0 1 2\n")
+
+
 def test_read_graphs_batch():
     text = write_graph(cycle_graph(4), "graph6") + write_graph(complete_graph(4), "graph6")
     graphs = read_graphs(text, "graph6")

@@ -423,10 +423,11 @@ def test_block_tree_verdicts_pinned():
     # Re-derived when blocks were decided by branch and bound: node counts
     # moved under {1,2} and {2,3}, where a block's hull finds a factor the
     # first assignment misses, again when sides were queried once per cut
-    # degree, and when the search became one pass over one block
-    # decomposition.
+    # degree, when the search became one pass over one block decomposition,
+    # and when each child block was folded into its cut vertex's candidates,
+    # so later siblings skip degrees that no candidate can use.
     assert _decisions_digest(_block_tree_decisions(), certificates=False) == (
-        "c4700f413051dca8a6e606aa3075101179bd22f22ef5680d0c25f2b0cf0d4242"
+        "cc036e5c4c922bea8463b4fa4b4b5cdb42466c4bb9ea506a2bd9f5235b546672"
     )
 
 
@@ -434,10 +435,11 @@ def test_block_tree_decisions_pinned():
     # Deep cut structure that the families and the n <= 5 census never reach;
     # re-derived for the smaller-side gadget, again with the verdict pin, when
     # endpoints listed their gadget first, which finds other factors, when
-    # sides were queried once per cut degree, and when the search became one
-    # pass over one block decomposition.
+    # sides were queried once per cut degree, when the search became one
+    # pass over one block decomposition, and when child blocks were folded
+    # into their cut vertex's candidates.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "0fbfbb0a73d56fe10c2bde494edbc5e6cc47d36d37fd50222971fd51317796ad"
+        "d43c81ea67fc1433d70c00df3add82b9cd8368f374522494f5d45804b12f6cf1"
     )
 
 
@@ -491,6 +493,44 @@ def test_memo_tells_equal_sized_pieces_apart():
     g = Graph(10, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 6), (5, 6), (5, 7), (5, 8), (0, 9)))
     assert h_factor_decide(g, FactorSpec.of(1)).verdict == NOT_EXISTS
     assert not brute_force_h_factor(g, FactorSpec.of(1)).exists
+
+def _windmill(k: int) -> Graph:
+    """k triangles sharing vertex 0."""
+    return Graph(2 * k + 1, tuple(e for t in range(1, k + 1)
+                                  for e in ((0, 2 * t - 1), (0, 2 * t), (2 * t - 1, 2 * t))))
+
+
+def _star(k: int) -> Graph:
+    return Graph(k + 1, tuple((0, leaf) for leaf in range(1, k + 1)))
+
+
+def test_fold_at_a_vertex_with_many_child_blocks():
+    # Vertex 0 holds k blocks, so k - 1 of them are folded into its
+    # candidates one after another and unfolded in reverse: 340 decisions.
+    for k in range(1, 6):
+        specs = CENSUS_SPECS + [FactorSpec.of(1, k), FactorSpec.of(2, 2 * k), FactorSpec.of(0, 1, k)]
+        for g in (_windmill(k), _star(k)):
+            for spec in specs:
+                dec = h_factor_decide(g, spec)
+                assert dec.exists == brute_force_h_factor(g, spec).exists, (g.edges, spec)
+                assert dec.verdict != INCONCLUSIVE
+                if dec.exists:
+                    assert verify_factor(g, dec.certificate, spec)
+
+
+@pytest.mark.parametrize("allowed, nodes", [((0, 1, 800), 1601), ((1, 800), 1600)])
+def test_star_folds_800_child_blocks(allowed, nodes):
+    # K_{1,800} is 800 blocks on the hub: the root is one of them, each other
+    # is queried at hub degrees 0 and 1, and the equal leaf blocks share two
+    # memo entries, so the search is two nodes per leaf block plus the root.
+    g = _star(800)
+    spec = FactorSpec(allowed)
+    dec = h_factor_decide(g, spec)
+    assert (dec.verdict, dec.nodes_explored) == (EXISTS, nodes)
+    assert verify_factor(g, dec.certificate, spec)
+    if allowed == (1, 800):
+        assert dec.certificate == g.edges
+
 
 def test_deep_block_cut_tree_needs_no_recursion():
     # P_300 is 299 blocks in one chain, 298 levels below the root, and the
