@@ -104,6 +104,7 @@ def from_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
             n, m = _line_ints(lineno, line, parts[2:])
+            n_line = lineno
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line {line!r}")
@@ -114,18 +115,25 @@ def from_dimacs(text: str) -> Graph:
         raise ValueError("missing 'p edge n m' line")
     if len(ends) != m:
         raise ValueError(f"problem line promises {m} edges, found {len(ends)}")
+    return _checked_graph(n, n_line, ends, 1)
+
+
+def _checked_graph(n: int, n_line: int, ends: list[tuple[int, int, int]], base: int) -> Graph:
+    """Graph from (line, u, v) edges, ids from base; errors name the line."""
+    if n < 0:
+        raise ValueError(f"line {n_line}: vertex count must be nonnegative, got {n}")
     first_seen: dict[tuple[int, int], int] = {}
     for lineno, u, v in ends:
         for x in (u, v):
-            if not 1 <= x <= n:
-                raise ValueError(f"line {lineno}: vertex id {x} outside 1..{n}")
+            if not base <= x < base + n:
+                raise ValueError(f"line {lineno}: vertex id {x} outside {base}..{base + n - 1}")
         if u == v:
             raise ValueError(f"line {lineno}: self-loop at vertex {u}")
         edge = (min(u, v), max(u, v))
         if edge in first_seen:
             raise ValueError(f"line {lineno}: edge {u} {v} repeats line {first_seen[edge]}")
         first_seen[edge] = lineno
-    return Graph(n, tuple((u - 1, v - 1) for _, u, v in ends))
+    return Graph(n, tuple((u - base, v - base) for _, u, v in ends))
 
 
 def _line_ints(lineno: int, line: str, fields: list[str]) -> list[int]:
@@ -145,7 +153,7 @@ def to_edge_list(g: Graph) -> str:
 
 def from_edge_list(text: str) -> Graph:
     n = None
-    pairs = []
+    ends: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -157,13 +165,14 @@ def from_edge_list(text: str) -> Graph:
                     f"line {lineno}: first edge-list line must be the vertex count, got {line!r}"
                 )
             (n,) = _line_ints(lineno, line, parts)
+            n_line = lineno
         elif len(parts) != 2:
             raise ValueError(f"line {lineno}: malformed edge-list line {line!r}")
         else:
-            pairs.append(tuple(_line_ints(lineno, line, parts)))
+            ends.append((lineno, *_line_ints(lineno, line, parts)))
     if n is None:
         raise ValueError("empty edge list")
-    return Graph(n, tuple(pairs))
+    return _checked_graph(n, n_line, ends, 0)
 
 
 def write_graph(g: Graph, fmt: str) -> str:

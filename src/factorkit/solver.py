@@ -6,10 +6,11 @@ to perfect matching through Tutte's vertex gadget (Lovasz 1972), on the
 smaller side: vertex v of degree d gets hi copies that take used edges when
 lo + hi < d, else d - lo cores that take unused ones, plus hi - lo slack
 vertices, and the expanded graph has a perfect matching iff the original
-graph has a factor in the windows. An exact target f is the window f..f.
-Each edge endpoint lists its own vertex's gadget before its partner, so the
-matcher's greedy seed is a greedy factor of the host and leaves few
-vertices to augmenting searches (Magun 1998).
+graph has a factor in the windows. Exact targets (windows f..f) first try a
+greedy factor of the host, lifting each short vertex in turn along an
+alternating path of length 3, and build the gadget only when one stays
+short. Each edge endpoint lists its own vertex's gadget before its partner,
+so the matcher's greedy seed is a greedy factor too (Magun 1998).
 
 Degree-set queries search over per-vertex candidate degrees on top of that
 engine. The search runs one pass over one block decomposition (Hopcroft and
@@ -171,6 +172,44 @@ def _prescribed_factor_edges(
     """Edges of a spanning subgraph with each degree in lows[v]..highs[v]
     (default: exactly lows[v]), every value if mixed[v], else every other
     one; or None if there is none. Callers validate the windows."""
+    edges = _greedy_factor_edges(g, lows) if highs is None or highs == lows else None
+    return _gadget_factor_edges(g, lows, highs, mixed) if edges is None else edges
+
+
+def _greedy_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
+    """A factor with exactly targets[v] edges at each v, or None when the
+    greedy gets stuck, which proves nothing. Each edge in canonical order is
+    taken when both its ends are short, so no unused edge joins two short
+    vertices; then each short vertex u, ascending, flips an alternating path
+    u-x (unused), x-y (used), y-w (unused) to a short w, or back to u when it
+    needs two, until the first vertex that no such path lifts."""
+    n, short = g.n, list(targets)
+    used: set[int] = set()  # u * n + v and v * n + u for each used edge (u, v)
+    for u, v in g.edges:
+        if short[u] and short[v]:
+            short[u] -= 1
+            short[v] -= 1
+            used.add(u * n + v)
+            used.add(v * n + u)
+    for u in range(n):
+        while short[u]:
+            path = next(((x, y, w) for x in g.neighbors(u) if u * n + x not in used
+                         for y in g.neighbors(x) if x * n + y in used
+                         for w in g.neighbors(y)
+                         if short[w] and y * n + w not in used and (w != u or short[u] > 1)), None)
+            if path is None:
+                return None
+            x, y, w = path
+            used ^= {u * n + x, x * n + u, x * n + y, y * n + x, y * n + w, w * n + y}
+            short[u] -= 1
+            short[w] -= 1
+    return tuple((u, v) for u, v in g.edges if u * n + v in used)
+
+
+def _gadget_factor_edges(
+    g: Graph, lows: Sequence[int], highs: Sequence[int] | None = None, mixed: Sequence[bool] = ()
+) -> tuple[Edge, ...] | None:
+    """_prescribed_factor_edges decided by one perfect matching."""
     # Tutte's gadget on the smaller side: v of degree d and window lo..hi gets
     # hi copies if lo + hi < d, each matched to a used edge's endpoint, else
     # d - lo cores, each matched to an unused one's; up to hi - lo of them are

@@ -144,6 +144,26 @@ def test_edge_list_rejects_bad_input():
         from_edge_list("3\n0 1\n\n0 1 2\n")
 
 
+def test_edge_list_names_the_line_of_an_out_of_range_endpoint():
+    with pytest.raises(ValueError, match=r"^line 2: vertex id 5 outside 0\.\.2$"):
+        from_edge_list("3\n0 5\n")
+
+
+def test_edge_list_names_the_line_of_a_self_loop():
+    with pytest.raises(ValueError, match=r"^line 2: self-loop at vertex 1$"):
+        from_edge_list("3\n1 1\n")
+
+
+def test_edge_list_names_the_line_of_a_repeated_edge():
+    with pytest.raises(ValueError, match=r"^line 3: edge 1 0 repeats line 2$"):
+        from_edge_list("3\n0 1\n1 0\n")
+
+
+def test_edge_list_names_the_line_of_a_negative_vertex_count():
+    with pytest.raises(ValueError, match=r"^line 1: vertex count must be nonnegative, got -1$"):
+        from_edge_list("-1\n")
+
+
 def test_read_graphs_batch():
     text = write_graph(cycle_graph(4), "graph6") + write_graph(complete_graph(4), "graph6")
     graphs = read_graphs(text, "graph6")

@@ -225,7 +225,7 @@ def test_mates_equal_reference_on_gadgets(solver_matchings):
             if sum(targets) % 2:
                 v = rng.randrange(g.n)
                 targets[v] += 1 if targets[v] < g.degree(v) else -1
-            solver._prescribed_factor_edges(g, targets)
+            solver._gadget_factor_edges(g, targets)
     assert len(solver_matchings) == 5 * len(graphs)
     assert any(is_perfect(mate) for _, _, mate in solver_matchings)
     for n, adj, mate in solver_matchings:
@@ -300,7 +300,7 @@ def test_all_one_gadget_takes_the_smaller_side(solver_matchings):
     # One copy per vertex beside two endpoints per edge: 3,300 vertices, where
     # d - f cores per vertex made 5,700.
     g = circulant_graph(300, (1, 13, 47, 89, 121))
-    edges = solver._prescribed_factor_edges(g, [1] * g.n)
+    edges = solver._gadget_factor_edges(g, [1] * g.n)
     assert edges is not None and solver.verify_factor(g, edges, FactorSpec.of(1))
     assert [n for n, _, _ in solver_matchings] == [3300]
 
@@ -322,8 +322,8 @@ def test_gadget_seed_is_a_greedy_factor(solver_matchings):
     # fills each vertex's copies or cores first and leaves at most 1% exposed
     # (listing the partner first would leave every core or copy exposed).
     g = circulant_graph(300, (1, 13, 47, 89, 121))
-    assert solver._prescribed_factor_edges(g, [5] * g.n) is not None
-    assert h_factor_decide(g, FactorSpec.of(1, 9)).exists
+    assert solver._gadget_factor_edges(g, [5] * g.n) is not None
+    assert solver._gadget_factor_edges(g, [1] * g.n) is not None
     (tie_n, tie_adj, _), (ones_n, ones_adj, _) = solver_matchings[:2]
     assert (tie_n, ones_n) == (4500, 3300)
     assert greedy_seed_exposed(tie_n, tie_adj) <= tie_n // 100
@@ -335,7 +335,7 @@ def test_tie_gadget_is_the_core_gadget(solver_matchings):
     # list order (copies would build the same graph but take the complement),
     # and its factor is the earlier one too.
     g = circulant_graph(120, (1, 11, 37))
-    edges = solver._prescribed_factor_edges(g, [3] * g.n)
+    edges = solver._gadget_factor_edges(g, [3] * g.n)
     assert edges is not None and edges == reference_prescribed_factor_edges(g, [3] * g.n)
     (n, adj, _), (reference_n, reference_adj, _) = solver_matchings
     assert n == reference_n == 1080

@@ -146,21 +146,24 @@ def _gadget_targets(rng: random.Random, g: Graph, draw: str) -> list[int]:
 
 
 def test_gadget_agrees_with_reference_gadget():
-    # The smaller-side gadget against the d - f core gadget, on seeded random
-    # graphs up to 40 vertices: same existence, and every certificate has
-    # exactly the target degrees.
+    # Exact targets against the d - f core gadget, on seeded random graphs up
+    # to 40 vertices and on the atlas graphs (at most 7 vertices): a factor is
+    # found exactly when the reference finds one, and every certificate, the
+    # greedy pass's and the smaller-side gadget's, has exactly the targets.
     rng = random.Random(1954)
     found = {True: 0, False: 0}
-    for trial in range(400):
-        draw = ("copies", "cores", "ties", "mixed")[trial % 4]
-        n = rng.randint(1, 40)
-        g = random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), rng)
-        targets = _gadget_targets(rng, g, draw)
+    draws = itertools.cycle(("copies", "cores", "ties", "mixed"))
+    randoms = (random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), rng)
+               for n in (rng.randint(1, 40) for _ in range(400)))
+    for g in itertools.chain(randoms, _atlas_graphs()):
+        targets = _gadget_targets(rng, g, next(draws))
         edges = solver._prescribed_factor_edges(g, targets)
+        greedy = solver._greedy_factor_edges(g, targets)
         assert (edges is not None) == (reference_prescribed_factor_edges(g, targets) is not None)
-        if edges is not None:
-            assert set(edges) <= set(g.edges)
-            assert subgraph_degrees(n, edges) == targets, (g.edges, targets)
+        for certificate in (edges, greedy):
+            if certificate is not None:
+                assert set(certificate) <= set(g.edges)
+                assert subgraph_degrees(g.n, certificate) == targets, (g.edges, targets)
         found[edges is not None] += 1
     assert min(found.values()) > 50
 
@@ -266,6 +269,25 @@ def test_g2_is_one_query_per_cut_degree(r, k):
     spec = FactorSpec.complementary(k, r)
     dec = h_factor_decide(g, spec, budget=1000)
     assert dec.verdict == EXISTS and verify_factor(g, dec.certificate, spec)
+
+
+@pytest.mark.parametrize("r, nodes", [(18, 27), (26, 39), (34, 51), (42, 63)])
+def test_g1_root_blocks_need_no_matching(monkeypatch, r, nodes):
+    # Under {r/2} and {r/2 - 2, r/2 + 2}, every exact target the search asks
+    # of G1(r) is met by the greedy factor and its length-3 repairs, so no
+    # gadget is matched and the search explores the same nodes.
+    calls = []
+    real = solver.perfect_matching
+
+    def spy(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(solver, "perfect_matching", spy)
+    g = build_g1(r).graph
+    for spec in (FactorSpec.of(r // 2), FactorSpec.of(r // 2 - 2, r // 2 + 2)):
+        assert h_factor_decide(g, spec).nodes_explored == nodes
+    assert calls == []
 
 
 def test_branching_refutes_a_feasible_hull(monkeypatch):
@@ -412,10 +434,11 @@ def test_family_verdicts_pinned():
 def test_family_decisions_pinned():
     # Verdicts, methods, certificates and node counts; re-derived when the
     # gadget took the smaller side at each vertex, which finds other factors,
-    # when sides were queried once per cut degree, and when the search became
-    # one pass over one block decomposition.
+    # when sides were queried once per cut degree, when the search became
+    # one pass over one block decomposition, and when exact targets tried a
+    # greedy factor with length-3 repairs before the gadget.
     assert _decisions_digest(_family_decisions(), certificates=True) == (
-        "928eb6d85133ef7cb37a84b37f7b0c42b3045b3ce651da354d9faedc3b6d22a2"
+        "bc4fbb6c3eccc8ab745d2489034a5c30576ab5dc0b538645c37fd8c0f31b8a47"
     )
 
 
@@ -436,10 +459,11 @@ def test_block_tree_decisions_pinned():
     # re-derived for the smaller-side gadget, again with the verdict pin, when
     # endpoints listed their gadget first, which finds other factors, when
     # sides were queried once per cut degree, when the search became one
-    # pass over one block decomposition, and when child blocks were folded
-    # into their cut vertex's candidates.
+    # pass over one block decomposition, when child blocks were folded into
+    # their cut vertex's candidates, and when exact targets tried a greedy
+    # factor with length-3 repairs before the gadget.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "d43c81ea67fc1433d70c00df3add82b9cd8368f374522494f5d45804b12f6cf1"
+        "f8dcd63c236f33b0d1019368656bbb2f09bd73fafef8e6891c083011e17c1214"
     )
 
 
