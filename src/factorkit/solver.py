@@ -45,7 +45,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from operator import lt
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, biconnected_blocks, connected_components, induced_subgraph, regularity
 from .matching import perfect_matching
@@ -154,12 +155,19 @@ def verify_factor(g: Graph, certificate: Iterable[Sequence[int]], spec: FactorSp
 
     Raises ValueError if the certificate references an edge not in the host.
     """
-    edges = normalize_edges(certificate)
+    return _is_factor(g, normalize_edges(certificate), spec, ValueError)
+
+
+def _is_factor(g: Graph, edges: tuple[Edge, ...], spec: FactorSpec, error: Callable[[str], Exception]) -> bool:
+    """Whether every degree of `edges` lies in spec; raises error(why) naming
+    the least edge not in g, or if `edges` is not strictly increasing."""
     host = g.edge_set()
-    for e in edges:
-        if e not in host:
-            raise ValueError(f"certificate edge {e} is not an edge of the host graph")
-    return all(d in spec.allowed for d in subgraph_degrees(g.n, edges))
+    if not host.issuperset(edges):
+        bad = next(e for e in edges if e not in host)
+        raise error(f"certificate edge {bad} is not an edge of the host graph")
+    if not all(map(lt, edges, edges[1:])):
+        raise error("certificate edges are not strictly increasing")
+    return set(subgraph_degrees(g.n, edges)) <= set(spec.allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +482,8 @@ def h_factor_decide(
     # Handshake: a component of odd order cannot have all degrees odd.
     if spec.all_odd() and any(len(comp) % 2 == 1 for comp in comps):
         return Decision(NOT_EXISTS, METHOD_PARITY, None, 0)
-    allowed = [tuple(a for a in spec.allowed if a <= g.degree(v)) for v in range(g.n)]
+    clipped = {d: tuple(a for a in spec.allowed if a <= d) for d in set(g.degrees())}
+    allowed = [clipped[d] for d in g.degrees()]
     if not all(allowed):
         return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, 0)
     state = _SearchState(budget)
@@ -484,8 +493,8 @@ def h_factor_decide(
         return Decision(INCONCLUSIVE, METHOD_BUDGET, None, state.nodes)
     if edges is None:
         return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, state.nodes)
-    cert = normalize_edges(edges)
-    if not verify_factor(g, cert, spec):
+    cert = tuple(sorted(edges))  # blocks partition g's edges, so each is canonical and distinct
+    if not _is_factor(g, cert, spec, lambda why: AssertionError(f"internal error: {why}")):
         raise AssertionError("internal error: search produced an invalid certificate")
     return Decision(EXISTS, METHOD_SEARCH, cert, state.nodes)
 
@@ -518,35 +527,32 @@ def brute_force_h_factor(g: Graph, spec: FactorSpec) -> Decision:
 # Constructive even-degree factors via one Euler orientation
 
 
-def _euler_orientation(n: int, edges: Sequence[Edge]) -> list[Edge]:
-    """Orient canonical edges along Euler circuits, one per component; every
-    vertex must have even degree. Ties always continue along the smallest
-    available neighbor id (canonical order builds each list ascending)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    used = [False] * len(edges)
+def _euler_orientation(n: int, edges: Sequence[Edge]) -> list[bool]:
+    """Walk canonical edges along Euler circuits by Hierholzer's stack, one
+    circuit per component; every vertex must have even degree. The walk
+    always leaves along the smallest unused edge. Flag i is True when edge
+    i = (u, v) runs from v to u: each edge runs against the direction it was
+    walked, as in the vertex path the stack pops, so in-degree = out-degree."""
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):  # canonical order lists each ascending
+        incident[u].append(i)
+        incident[v].append(i)
+    backward: list[bool | None] = [None] * len(edges)  # None: not walked yet
     ptr = [0] * n
-    arcs: list[Edge] = []
     for start in range(n):
-        if ptr[start] >= len(adj[start]):
-            continue
         stack = [start]
-        path: list[int] = []
         while stack:
             v = stack[-1]
-            while ptr[v] < len(adj[v]) and used[adj[v][ptr[v]][1]]:
+            while ptr[v] < len(incident[v]) and backward[incident[v][ptr[v]]] is not None:
                 ptr[v] += 1
-            if ptr[v] == len(adj[v]):
-                path.append(v)
+            if ptr[v] == len(incident[v]):
                 stack.pop()
             else:
-                w, idx = adj[v][ptr[v]]
-                used[idx] = True
-                stack.append(w)
-        arcs.extend(zip(path, path[1:]))
-    return arcs
+                i = incident[v][ptr[v]]
+                a, b = edges[i]
+                backward[i] = v == a
+                stack.append(b if v == a else a)
+    return backward
 
 
 def _two_factors(g: Graph, count: int | None = None) -> Iterator[tuple[Edge, ...]]:
@@ -563,7 +569,8 @@ def _two_factors(g: Graph, count: int | None = None) -> Iterator[tuple[Edge, ...
         raise ValueError(f"need 0 to {r // 2} 2-factors of a {r}-regular graph, got {count}")
     n = g.n
     adj: list[list[int]] = [[] for _ in range(2 * n)]
-    for u, v in sorted(_euler_orientation(n, g.edges)):  # builds each list ascending
+    for (u, v), backward in zip(g.edges, _euler_orientation(n, g.edges)):
+        u, v = (v, u) if backward else (u, v)  # canonical order appends each list ascending
         adj[u].append(n + v)
         adj[n + v].append(u)
     for _ in range(count):

@@ -3,9 +3,11 @@
 The oracles are deliberately naive: straight enumeration with no shared
 code paths into the solver, so agreement is meaningful evidence. The
 exceptions are `reference_maximum_matching`, a frozen earlier version of the
-matching that pins its exact search order, and
+matching that pins its exact search order,
 `reference_prescribed_factor_edges`, the earlier d - f core gadget, which
-runs the solver's matching engine on a gadget of its own.
+runs the solver's matching engine on a gadget of its own, and
+`reference_euler_arcs`, the earlier Euler orientation that built the vertex
+path, which pins the solver's walk order.
 """
 
 from __future__ import annotations
@@ -238,6 +240,54 @@ def reference_prescribed_factor_edges(g: Graph, targets: Sequence[int]):
     return tuple(
         g.edges[idx] for idx in range(g.m) if mate[2 * idx] == 2 * idx + 1
     )
+
+
+# The Euler orientation when it returned arcs, copied apart from its name and
+# its docstring.
+def reference_euler_arcs(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Arcs of canonical edges oriented along Euler circuits, one per
+    component, as consecutive vertices of the path Hierholzer's stack pops;
+    the walk always continues along the smallest available neighbor id."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    used = [False] * len(edges)
+    ptr = [0] * n
+    arcs: list[tuple[int, int]] = []
+    for start in range(n):
+        if ptr[start] >= len(adj[start]):
+            continue
+        stack = [start]
+        path: list[int] = []
+        while stack:
+            v = stack[-1]
+            while ptr[v] < len(adj[v]) and used[adj[v][ptr[v]][1]]:
+                ptr[v] += 1
+            if ptr[v] == len(adj[v]):
+                path.append(v)
+                stack.pop()
+            else:
+                w, idx = adj[v][ptr[v]]
+                used[idx] = True
+                stack.append(w)
+        arcs.extend(zip(path, path[1:]))
+    return arcs
+
+
+def random_even_graph(rng, max_n: int) -> Graph:
+    """Edge-disjoint cycles on a vertex count drawn from 1..max_n, each of
+    3..n distinct random vertices and kept only if it reuses no edge; so
+    every degree is even, and hosts may be disconnected or have isolated
+    vertices."""
+    n = rng.randint(1, max_n)
+    edges: set[tuple[int, int]] = set()
+    for _ in range(rng.randint(0, 6) if n >= 3 else 0):
+        cycle = rng.sample(range(n), rng.randint(3, n))
+        new = {(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        if not new & edges:
+            edges |= new
+    return Graph(n, tuple(edges))
 
 
 def two_hub(triangles: int) -> Graph:

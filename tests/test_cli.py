@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import factorkit
+from factorkit import solver
 from factorkit.cli import run
 from factorkit.constructions import build_g1
 from factorkit.generators import circulant_graph, complete_graph
@@ -261,6 +262,16 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, target, argv):
     captured = capsys.readouterr()
     assert captured.err == "internal error: AssertionError: invariant broken\n"
     assert captured.out == ""
+
+
+def test_invalid_search_certificate_is_internal_error(tmp_path, capsys, monkeypatch):
+    # (0, 4) is not an edge of C(8; 1, 2, 3).
+    monkeypatch.setattr(solver, "_solve_blocks", lambda *args: [(0, 4), (1, 5), (2, 6), (3, 7)])
+    path = write_g6(tmp_path, "c8.g6", circulant_graph(8, (1, 2, 3)))
+    assert run(["factor", "check", "--spec", "1", "--in", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: AssertionError: internal error: certificate edge (0, 4)")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_verify_gallai_requires_k(tmp_path, capsys):

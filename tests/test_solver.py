@@ -17,7 +17,7 @@ from factorkit.generators import (
     random_graph,
     random_regular_graph,
 )
-from factorkit.graph import Graph
+from factorkit.graph import Graph, is_connected
 from factorkit.matching import is_perfect, maximum_matching
 from factorkit.solver import (
     BRUTE_FORCE_EDGE_CAP,
@@ -39,6 +39,8 @@ from oracles import (
     all_graphs,
     petersen,
     random_block_tree,
+    random_even_graph,
+    reference_euler_arcs,
     reference_prescribed_factor_edges,
     two_hub,
 )
@@ -68,6 +70,26 @@ def test_verify_factor_examples():
     assert verify_factor(k4, hamilton, FactorSpec.of(2))
     with pytest.raises(ValueError, match="not an edge"):
         verify_factor(c4, [(0, 2)], FactorSpec.of(1))
+    # Foreign input is normalized: reversed pairs, lists and repeats pass,
+    # and the error names the least non-host edge.
+    assert verify_factor(c4, [(1, 0), (3, 2)], FactorSpec.of(1))
+    assert verify_factor(c4, [[0, 1], [2, 3]], FactorSpec.of(1))
+    assert verify_factor(c4, [(0, 1), (2, 3), (1, 0)], FactorSpec.of(1))
+    assert not verify_factor(c4, [[3, 0], [1, 2], [2, 1]], FactorSpec.of(2))
+    with pytest.raises(ValueError, match=r"^certificate edge \(0, 2\) is not an edge"):
+        verify_factor(c4, [(3, 1), (0, 1), (2, 0)], FactorSpec.of(1))
+
+
+# Under {1, 2}: a repeated edge that keeps every degree in the spec, a
+# non-edge, and a host subgraph leaving vertices 2 and 3 at degree 0.
+CORRUPT_C4_FACTORS = [[(0, 1), (2, 3), (0, 1)], [(0, 2), (1, 3)], [(0, 1)]]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_C4_FACTORS)
+def test_search_certificate_self_check(monkeypatch, corrupt):
+    monkeypatch.setattr(solver, "_solve_blocks", lambda *args: list(corrupt))
+    with pytest.raises(AssertionError, match="^internal error: "):
+        h_factor_decide(cycle_graph(4), FactorSpec.of(1, 2))
 
 
 def test_f_factor_examples():
@@ -707,6 +729,40 @@ def test_two_factors_orient_once(monkeypatch):
     assert len(calls) == 1
     assert verify_factor(g, even_k_factor(g, 8), FactorSpec.of(8))
     assert len(calls) == 2
+
+
+def _double(n, arcs):
+    """The in/out bipartite double's lists, appended in the order of arcs."""
+    adj = [[] for _ in range(2 * n)]
+    for u, v in arcs:
+        adj[u].append(n + v)
+        adj[n + v].append(u)
+    return adj
+
+
+def test_euler_orientation_matches_reference_arcs(monkeypatch):
+    # Canonical edge order appends the lists that sorting the reference's
+    # arcs does, so the doubles, and the mates found on them, are identical.
+    doubles = []
+    match = solver.perfect_matching
+
+    def spy(n, adj):
+        doubles.append([list(a) for a in adj])
+        return match(n, adj)
+
+    monkeypatch.setattr(solver, "perfect_matching", spy)
+    rng = random.Random(1891)
+    hosts = [random_even_graph(rng, 14) for _ in range(600)]
+    assert any(not is_connected(g) for g in hosts)
+    assert any(0 in g.degrees() and g.m for g in hosts)
+    for g in hosts + LARGE_CIRCULANTS:
+        flags, reference = solver._euler_orientation(g.n, g.edges), reference_euler_arcs(g.n, g.edges)
+        arcs = [(v, u) if backward else (u, v) for (u, v), backward in zip(g.edges, flags)]
+        assert sorted(arcs) == sorted(reference)
+        assert _double(g.n, arcs) == _double(g.n, sorted(reference))
+    for g in LARGE_CIRCULANTS:
+        next(solver._two_factors(g, 1))
+        assert doubles.pop() == _double(g.n, sorted(reference_euler_arcs(g.n, g.edges)))
 
 
 def test_decompose_handles_disconnected_hosts():
