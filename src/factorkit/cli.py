@@ -7,14 +7,17 @@ graph per line; multi-line input runs each line as a batch item.
 
 Exit codes: 0 success / factor exists / theorem holds; 1 no factor or
 argument not applicable (a valid answer, not an error); 2 usage or input
-error; 3 search hit its node budget (inconclusive); 4 internal error (a
-fault in factorkit, reported as one line on stderr, never as an answer).
+error, including input that cannot be read or decoded and output that
+cannot be written (a closed pipe too); 3 search hit its node budget
+(inconclusive); 4 internal error (a fault in factorkit, reported as one
+line on stderr, never as an answer).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Sequence
@@ -24,19 +27,18 @@ from .constructions import build_g1, build_g2, near_complete_block
 from .graph import Graph, regularity
 from .solver import (
     DEFAULT_NODE_BUDGET,
-    EXISTS,
     INCONCLUSIVE,
-    NOT_EXISTS,
+    Decision,
     FactorSpec,
     h_factor_decide,
 )
 from .theorems import SearchInconclusive, check_certificate, gallai_check, hub_parity_analysis, verify_theorem2
 
 EXIT_OK = 0
-EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
+# An answer's exit code: yes, no, or None when the search hit its node budget.
+EXIT_CODE = {True: EXIT_OK, False: 1, None: 3}
 
 INCONCLUSIVE_MESSAGE = "inconclusive: the factor search hit its node budget"
 
@@ -46,9 +48,9 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="ascii") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -66,48 +68,133 @@ def _write_text(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _input_graphs(path: str) -> list[Graph]:
-    """Graphs from a file or stdin: graph6, one per line (batch)."""
-    text = _read_text(path)
-    try:
-        return gio.read_graphs(text, "graph6")
-    except ValueError as exc:
-        raise CliError(f"malformed graph input from {path}: {exc}") from exc
-
-
-def _parse_spec(text: str) -> FactorSpec:
-    try:
-        return FactorSpec(tuple(int(part) for part in text.split(",") if part.strip()))
-    except ValueError as exc:
-        raise CliError(f"bad degree set {text!r}: {exc}") from exc
-
-
-def _spec_for(args: argparse.Namespace, g: Graph) -> FactorSpec:
-    if args.spec is not None:
-        return _parse_spec(args.spec)
+def _complementary(g: Graph, k: int, irregular: str) -> FactorSpec:
+    """{k, r-k} for the r-regular input; `irregular` is the error otherwise."""
     r = regularity(g)
     if r is None:
-        raise CliError("--kr needs a regular input graph to expand {k, r-k}")
+        raise CliError(irregular)
     try:
-        return FactorSpec.complementary(args.kr, r)
+        return FactorSpec.complementary(k, r)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
-def _report(args_echo: str, g: Graph, result: dict, started: float) -> dict:
-    return {
-        "command": args_echo,
-        "input": {"n": g.n, "edges": g.m, "regularity": regularity(g)},
-        "result": result,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+def _decided(decision: Decision) -> bool | None:
+    return None if decision.verdict == INCONCLUSIVE else decision.exists
 
 
-def _emit(report: dict, human: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True))
+def _answer_factor(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
+    if args.spec is None:
+        spec = _complementary(g, args.kr, "--kr needs a regular input graph to expand {k, r-k}")
     else:
-        print(human)
+        try:
+            spec = FactorSpec(tuple(int(part) for part in args.spec.split(",") if part.strip()))
+        except ValueError as exc:
+            raise CliError(f"bad degree set {args.spec!r}: {exc}") from exc
+    decision = h_factor_decide(g, spec, budget=args.budget)
+    payload = decision.to_json_dict()
+    if args.mode == "check":
+        payload.pop("certificate", None)
+    human = (
+        f"{decision.verdict} (spec={{{','.join(map(str, spec.allowed))}}}, "
+        f"method={decision.method}, nodes={decision.nodes_explored})"
+    )
+    if args.mode == "find" and decision.certificate is not None:
+        human += "\ncertificate: " + json.dumps([list(e) for e in decision.certificate])
+    return {"spec": list(spec.allowed), "decision": payload}, human, EXIT_CODE[_decided(decision)]
+
+
+def _answer_thm2(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
+    try:
+        holds = verify_theorem2(g)
+    except ValueError as exc:
+        raise CliError(f"precondition violated: {exc}") from exc
+    except SearchInconclusive:
+        holds = None
+    human = {
+        True: "theorem holds",
+        False: "theorem VIOLATED on this instance",
+        None: INCONCLUSIVE_MESSAGE,
+    }
+    result = {"theorem": "half-degree-factor-iff-even-order", "holds": holds}
+    return result, human[holds], EXIT_CODE[holds]
+
+
+def _answer_gallai(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
+    if args.k is None:
+        raise CliError("verify gallai requires --k")
+    report = gallai_check(g, args.k)
+    factor_exists = None
+    if report.applicable:
+        factor_exists = _decided(h_factor_decide(g, FactorSpec.of(args.k)))
+    result = {"report": report.to_json_dict(), "factor_exists": factor_exists}
+    if not report.applicable:
+        return result, f"not applicable: {report.reason}", EXIT_CODE[False]
+    human = {
+        True: f"applicable (m={report.m}) and the {args.k}-factor exists",
+        False: "hypotheses hold but no factor found: bound VIOLATED",
+        None: INCONCLUSIVE_MESSAGE,
+    }
+    return result, human[factor_exists], EXIT_CODE[factor_exists]
+
+
+def _answer_no_factor(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
+    if args.k is None:
+        raise CliError("verify no-factor requires --k")
+    if args.hubs is None:
+        raise CliError("verify no-factor requires --hubs")
+    try:
+        hubs = [int(part) for part in args.hubs.split(",") if part.strip()]
+    except ValueError as exc:
+        raise CliError(f"bad hub list {args.hubs!r}") from exc
+    spec = _complementary(
+        g, args.k, "no-factor analysis expands {k, r-k} and needs a regular graph"
+    )
+    try:
+        cert = hub_parity_analysis(g, hubs, spec)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    if cert is None:
+        result = {"applicable": False, "certificate": None}
+        return result, "not applicable: parity hypotheses fail for this hub set", EXIT_CODE[False]
+    valid = check_certificate(g, cert)
+    result = {"applicable": True, "certificate": cert.to_json_dict(), "certificate_valid": valid}
+    if cert.conclusion and valid:
+        human = (
+            f"no {{{','.join(map(str, spec.allowed))}}}-factor: hub degrees "
+            f"pinned to {[list(d) for d in cert.achievable_hub_degrees]}"
+        )
+        return result, human, EXIT_OK
+    human = "certificate proves nothing: achievable hub degrees meet the spec"
+    return result, human, EXIT_CODE[False]
+
+
+VERIFY_ANSWERS = {"thm2": _answer_thm2, "gallai": _answer_gallai, "no-factor": _answer_no_factor}
+
+
+def _each_graph(args: argparse.Namespace, echo: str, answer) -> int:
+    """Answer each input graph in turn; returns the worst exit code."""
+    text = _read_text(args.infile)
+    try:
+        graphs = gio.read_graphs(text, "graph6")
+    except ValueError as exc:
+        raise CliError(f"malformed graph input from {args.infile}: {exc}") from exc
+    worst = EXIT_OK
+    for g in graphs:
+        started = time.perf_counter()
+        result, human, code = answer(args, g)
+        if args.json:
+            report = {
+                "command": echo,
+                "input": {"n": g.n, "edges": g.m, "regularity": regularity(g)},
+                "result": result,
+                "wall_time_s": round(time.perf_counter() - started, 6),
+            }
+            print(json.dumps(report, sort_keys=True))
+        else:
+            print(human)
+        worst = max(worst, code)
+    return worst
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -117,11 +204,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             block = near_complete_block(r)
             g = block.graph
             descriptor = {"r": r, "family": "block", "unsaturated": list(block.unsaturated)}
-        elif args.family == "g1":
-            out = build_g1(r)
-            g, descriptor = out.graph, out.to_descriptor()
         else:
-            out = build_g2(r)
+            out = (build_g1 if args.family == "g1" else build_g2)(r)
             g, descriptor = out.graph, out.to_descriptor()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -129,115 +213,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.descriptor:
         _write_text(args.descriptor, json.dumps(descriptor, sort_keys=True) + "\n")
     return EXIT_OK
-
-
-def _cmd_factor(args: argparse.Namespace, echo: str) -> int:
-    graphs = _input_graphs(args.infile)
-    worst = EXIT_OK
-    for g in graphs:
-        started = time.perf_counter()
-        spec = _spec_for(args, g)
-        decision = h_factor_decide(g, spec, budget=args.budget)
-        payload = decision.to_json_dict()
-        if args.mode == "check":
-            payload.pop("certificate", None)
-        result = {"spec": list(spec.allowed), "decision": payload}
-        human = (
-            f"{decision.verdict} (spec={{{','.join(map(str, spec.allowed))}}}, "
-            f"method={decision.method}, nodes={decision.nodes_explored})"
-        )
-        if args.mode == "find" and decision.certificate is not None:
-            human += "\ncertificate: " + json.dumps([list(e) for e in decision.certificate])
-        _emit(_report(echo, g, result, started), human, args.json)
-        if decision.verdict == EXISTS:
-            code = EXIT_OK
-        elif decision.verdict == NOT_EXISTS:
-            code = EXIT_NEGATIVE
-        else:
-            code = EXIT_INCONCLUSIVE
-        worst = max(worst, code)
-    return worst
-
-
-def _cmd_verify(args: argparse.Namespace, echo: str) -> int:
-    graphs = _input_graphs(args.infile)
-    worst = EXIT_OK
-    for g in graphs:
-        started = time.perf_counter()
-        if args.check == "thm2":
-            try:
-                holds = verify_theorem2(g)
-            except ValueError as exc:
-                raise CliError(f"precondition violated: {exc}") from exc
-            except SearchInconclusive:
-                holds = None
-            result = {"theorem": "half-degree-factor-iff-even-order", "holds": holds}
-            if holds is None:
-                human, code = INCONCLUSIVE_MESSAGE, EXIT_INCONCLUSIVE
-            else:
-                human = "theorem holds" if holds else "theorem VIOLATED on this instance"
-                code = EXIT_OK if holds else EXIT_NEGATIVE
-        elif args.check == "gallai":
-            if args.k is None:
-                raise CliError("verify gallai requires --k")
-            report = gallai_check(g, args.k)
-            factor_exists = None
-            if report.applicable:
-                decision = h_factor_decide(g, FactorSpec.of(args.k))
-                if decision.verdict != INCONCLUSIVE:
-                    factor_exists = decision.exists
-            result = {"report": report.to_json_dict(), "factor_exists": factor_exists}
-            if not report.applicable:
-                human = f"not applicable: {report.reason}"
-                code = EXIT_NEGATIVE
-            elif factor_exists is None:
-                human, code = INCONCLUSIVE_MESSAGE, EXIT_INCONCLUSIVE
-            elif factor_exists:
-                human = f"applicable (m={report.m}) and the {args.k}-factor exists"
-                code = EXIT_OK
-            else:
-                human = "hypotheses hold but no factor found: bound VIOLATED"
-                code = EXIT_NEGATIVE
-        else:  # no-factor
-            if args.k is None:
-                raise CliError("verify no-factor requires --k")
-            if args.hubs is None:
-                raise CliError("verify no-factor requires --hubs")
-            try:
-                hubs = [int(part) for part in args.hubs.split(",") if part.strip()]
-            except ValueError as exc:
-                raise CliError(f"bad hub list {args.hubs!r}") from exc
-            r = regularity(g)
-            if r is None:
-                raise CliError("no-factor analysis expands {k, r-k} and needs a regular graph")
-            try:
-                spec = FactorSpec.complementary(args.k, r)
-                cert = hub_parity_analysis(g, hubs, spec)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-            if cert is None:
-                result = {"applicable": False, "certificate": None}
-                human = "not applicable: parity hypotheses fail for this hub set"
-                code = EXIT_NEGATIVE
-            else:
-                valid = check_certificate(g, cert)
-                result = {
-                    "applicable": True,
-                    "certificate": cert.to_json_dict(),
-                    "certificate_valid": valid,
-                }
-                if cert.conclusion and valid:
-                    human = (
-                        f"no {{{','.join(map(str, spec.allowed))}}}-factor: hub degrees "
-                        f"pinned to {[list(d) for d in cert.achievable_hub_degrees]}"
-                    )
-                    code = EXIT_OK
-                else:
-                    human = "certificate proves nothing: achievable hub degrees meet the spec"
-                    code = EXIT_NEGATIVE
-        _emit(_report(echo, g, result, started), human, args.json)
-        worst = max(worst, code)
-    return worst
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -314,14 +289,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     echo = "factorkit " + " ".join(argv)
     try:
         if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "factor":
-            return _cmd_factor(args, echo)
-        if args.command == "verify":
-            return _cmd_verify(args, echo)
-        return _cmd_convert(args)
+            code = _cmd_gen(args)
+        elif args.command == "convert":
+            code = _cmd_convert(args)
+        else:
+            answer = _answer_factor if args.command == "factor" else VERIFY_ANSWERS[args.check]
+            code = _each_graph(args, echo, answer)
+        sys.stdout.flush()  # a closed pipe fails here, not silently at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError as exc:
+        print(f"error: cannot write -: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -329,4 +309,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what a closed pipe refused to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

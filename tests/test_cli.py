@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -181,11 +183,58 @@ def test_factor_batch_processes_each_line(tmp_path, capsys):
     assert code == 1  # worst of the batch
 
 
+def test_factor_batch_stops_at_the_first_input_error(tmp_path, capsys):
+    from factorkit.generators import path_graph
+
+    path = write_g6(tmp_path, "batch.g6", complete_graph(4), path_graph(4))
+    assert run(["factor", "check", "--kr", "1", "--in", path]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("exists (spec={1,2},")
+    assert captured.err == "error: --kr needs a regular input graph to expand {k, r-k}\n"
+
+
+def test_verify_batch_exits_with_the_worst_code(tmp_path, capsys):
+    path = write_g6(tmp_path, "batch.g6", circulant_graph(8, (1, 2, 3)), complete_graph(7))
+    assert run(["verify", "gallai", "--k", "3", "--in", path, "--json"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["input"]["n"] for r in reports] == [8, 7]
+    assert [r["result"]["factor_exists"] for r in reports] == [True, None]
+
+
 def test_factor_reads_stdin(monkeypatch, capsys):
     text = write_graph(complete_graph(4), "graph6")
     monkeypatch.setattr("sys.stdin", __import__("io").StringIO(text))
     assert run(["factor", "check", "--spec", "1"]) == 0
     assert "exists" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["factor", "check", "--spec", "1"], ["convert", "--from", "graph6", "--to", "edges"]]
+)
+def test_undecodable_stdin_is_input_error(monkeypatch, capsys, argv):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read -: ") and captured.err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv", [["factor", "find", "--spec", "3", "--in", "g.g6"], ["gen", "g1", "--r", "6"]]
+)
+def test_closed_output_pipe_is_output_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "g1", "--r", "6", "--out", "g.g6"]) == 0
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write -: [Errno 32] Broken pipe\n"
 
 
 def test_factor_malformed_input(tmp_path, capsys):
@@ -371,3 +420,26 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert decode_graph6(result.stdout.strip()).n == 22
+
+
+def test_console_closed_pipe_is_output_error():
+    # Stdout is a pipe whose reader is gone before the child starts. Without
+    # PYTHONUNBUFFERED the short answer sits in stdout's buffer until a flush,
+    # so this also covers the interpreter's last flush at exit (status 120).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "factorkit", "factor", "find", "--spec", "3"],
+            input=write_graph(build_g1(6).graph, "graph6"),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(factorkit.__file__).parents[1],
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write -: [Errno 32] Broken pipe\n"
