@@ -120,14 +120,11 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[list[int
             continue
         seen[start] = True
         comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        for v in comp:
             for w in g.neighbors(v):
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
-                    queue.append(w)
         comp.sort()
         comps.append(comp)
     return comps
@@ -135,9 +132,7 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[list[int
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has at most one connected component."""
-    if g.n <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    return len(connected_components(g)) <= 1
 
 
 def edge_connectivity(g: Graph) -> int:

@@ -40,7 +40,7 @@ def encode_graph6(g: Graph) -> bytes:
 def decode_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 byte string (optionally prefixed ">>graph6<<")."""
     if isinstance(data, str):
-        data = data.encode("ascii")
+        data = data.encode("utf-8", "surrogatepass")
     data = data.strip()
     if data.startswith(_G6_PREFIX):
         data = data[len(_G6_PREFIX):]

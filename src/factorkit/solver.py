@@ -174,14 +174,11 @@ def _is_factor(g: Graph, edges: tuple[Edge, ...], spec: FactorSpec, error: Calla
 # Degree-window gadget and the exact-degree decision
 
 
-def _prescribed_factor_edges(
-    g: Graph, lows: Sequence[int], highs: Sequence[int] | None = None, mixed: Sequence[bool] = ()
-) -> tuple[Edge, ...] | None:
-    """Edges of a spanning subgraph with each degree in lows[v]..highs[v]
-    (default: exactly lows[v]), every value if mixed[v], else every other
-    one; or None if there is none. Callers validate the windows."""
-    edges = _greedy_factor_edges(g, lows) if highs is None or highs == lows else None
-    return _gadget_factor_edges(g, lows, highs, mixed) if edges is None else edges
+def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
+    """Edges of a spanning subgraph with exactly targets[v] edges at each v,
+    or None if there is none: the greedy factor, else the gadget."""
+    edges = _greedy_factor_edges(g, targets)
+    return _gadget_factor_edges(g, targets) if edges is None else edges
 
 
 def _greedy_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
@@ -217,7 +214,9 @@ def _greedy_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] |
 def _gadget_factor_edges(
     g: Graph, lows: Sequence[int], highs: Sequence[int] | None = None, mixed: Sequence[bool] = ()
 ) -> tuple[Edge, ...] | None:
-    """_prescribed_factor_edges decided by one perfect matching."""
+    """Edges of a spanning subgraph with each degree in lows[v]..highs[v]
+    (default: exactly lows[v]), every value if mixed[v], else every other
+    one, by one perfect matching; or None. Callers validate the windows."""
     # Tutte's gadget on the smaller side: v of degree d and window lo..hi gets
     # hi copies if lo + hi < d, each matched to a used edge's endpoint, else
     # d - lo cores, each matched to an unused one's; up to hi - lo of them are
@@ -332,18 +331,18 @@ class _SearchState:
 
 
 @lru_cache(maxsize=1024)
-def _parity_profile(values: tuple[int, ...]) -> tuple[int, int, int]:
-    """One vertex's candidates as (empty, mixed parity, forced odd) flags; a
-    search meets few distinct candidate tuples, so the flags are cached."""
-    parities = {a % 2 for a in values}
-    return (not parities, len(parities) == 2, parities == {1})
+def _mixed(values: tuple[int, ...]) -> bool:
+    """Whether one vertex's candidates hold both parities; a search meets few
+    distinct candidate tuples, so the flag is cached."""
+    return len({a % 2 for a in values}) == 2
 
 
-def _parity_impossible(candidates: Sequence[Sequence[int]]) -> bool:
-    """True when every vertex has parity-pure candidates and the forced total
-    degree sum is odd (no subgraph can realize it, by handshake)."""
-    empty, mixed, odd = (sum(flags) for flags in zip((0, 0, 0), *map(_parity_profile, candidates)))
-    return not empty and not mixed and odd % 2 == 1
+def _parity_impossible(candidates: Sequence[tuple[int, ...]]) -> bool:
+    """True when no vertex has candidates of both parities and the lowest
+    ones sum to odd, by handshake. Every tuple is nonempty: h_factor_decide
+    rejects empty clipped sets, _solve_blocks queries no block with one, and
+    a split's hull degree lies strictly inside the window."""
+    return not any(map(_mixed, candidates)) and sum(c[0] for c in candidates) % 2 == 1
 
 
 def _solve_blocks(
@@ -432,11 +431,11 @@ def _solve_by_relaxation(
     sub: Graph, candidates: tuple[tuple[int, ...], ...], state: _SearchState
 ) -> list[Edge] | None:
     """Branch and bound, depth first. A node tries every vertex at its lowest
-    candidate, then the hull: each vertex's candidates widened to a window.
-    No hull factor prunes; one with every degree a candidate solves; else the
-    first vertex whose degree d is in a gap splits below d, then above. The
-    lower child keeps every lowest candidate, so it inherits whether that
-    gadget already failed and skips it, or prunes when it is also the hull."""
+    candidate, which settles a node of single candidates, then the hull: each
+    vertex's candidates widened to a window. No hull factor prunes; one with
+    every degree a candidate solves; else the first vertex whose degree d is
+    in a gap splits below d, then above. The lower child keeps every lowest
+    candidate, so it inherits whether that attempt already failed and skips it."""
     stack = [(candidates, False)]
     while stack:
         candidates, lows_failed = stack.pop()
@@ -444,17 +443,15 @@ def _solve_by_relaxation(
         if _parity_impossible(candidates):
             continue
         lows = [c[0] for c in candidates]
-        single = all(len(c) == 1 for c in candidates)
-        if lows_failed and single:
-            continue
-        if not lows_failed and not single and sum(lows) % 2 == 0:
+        if not lows_failed and sum(lows) % 2 == 0:
             edges = _prescribed_factor_edges(sub, lows)
             if edges is not None:
                 return list(edges)
             lows_failed = True
+        if all(len(c) == 1 for c in candidates):
+            continue
         highs = [c[-1] for c in candidates]
-        mixed = [_parity_profile(c)[1] for c in candidates]
-        edges = _prescribed_factor_edges(sub, lows, highs, mixed)
+        edges = _gadget_factor_edges(sub, lows, highs, [_mixed(c) for c in candidates])
         if edges is None:
             continue
         degrees = subgraph_degrees(sub.n, edges)

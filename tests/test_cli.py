@@ -221,6 +221,15 @@ def test_undecodable_stdin_is_input_error(monkeypatch, capsys, argv):
     assert captured.err.startswith("error: cannot read -: ") and captured.err.count("\n") == 1
 
 
+def test_escaped_stdin_byte_is_malformed_graph6(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(["factor", "check", "--spec", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed graph input from -: graph6 byte outside the printable range 63..126\n"
+    )
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

@@ -94,6 +94,14 @@ def test_decode_rejects_malformed():
         decode_graph6(b"")
 
 
+@pytest.mark.parametrize("text", ["\u00e9", "\udcff"])
+def test_decode_rejects_non_ascii_text_as_unprintable(text):
+    # A non-ASCII character, or a byte that stdin decoding escaped to a lone
+    # surrogate, is a byte outside the graph6 range, not a codec failure.
+    with pytest.raises(ValueError, match="printable"):
+        decode_graph6(text)
+
+
 def test_dimacs_roundtrip():
     g = cycle_graph(5)
     text = to_dimacs(g)

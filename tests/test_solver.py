@@ -206,7 +206,9 @@ def test_gadget_against_subset_enumeration_on_every_small_graph():
     # Every labelled graph on at most 4 vertices and every window per vertex,
     # exact, parity-step and plain, odd totals included: a factor is found
     # exactly when some edge subset has every degree in its window, and it
-    # has. The exact windows alone are every target vector, 3,194 cases.
+    # has. The exact windows alone are every target vector, 3,194 cases, and
+    # go through the greedy first, as the search sends them; other windows
+    # go straight to the gadget.
     checked = 0
     for n in range(1, 5):
         for g in all_graphs(n):
@@ -226,7 +228,10 @@ def test_gadget_against_subset_enumeration_on_every_small_graph():
             ]
             for choice in itertools.product(*(range(len(w)) for w in windows)):
                 lows, highs, mixed = zip(*(windows[v][w] for v, w in enumerate(choice)))
-                edges = solver._prescribed_factor_edges(g, lows, highs, mixed)
+                if highs == lows:
+                    edges = solver._prescribed_factor_edges(g, lows)
+                else:
+                    edges = solver._gadget_factor_edges(g, lows, highs, mixed)
                 want = functools.reduce(int.__and__, (inside[v][w] for v, w in enumerate(choice)))
                 assert (edges is not None) == bool(want), (g.edges, lows, highs, mixed)
                 if edges is not None:
@@ -321,13 +326,13 @@ def test_branching_refutes_a_feasible_hull(monkeypatch):
     # all-1 gadget instead of matching it again, and prunes when its hull is
     # that gadget: one all-1 build of at most four.
     builds = []
-    real = solver._prescribed_factor_edges
+    real = solver._gadget_factor_edges
 
     def spy(g, lows, highs=None, mixed=()):
         builds.append((tuple(lows), tuple(lows if highs is None else highs)))
         return real(g, lows, highs, mixed)
 
-    monkeypatch.setattr(solver, "_prescribed_factor_edges", spy)
+    monkeypatch.setattr(solver, "_gadget_factor_edges", spy)
     g = Graph(6, tuple((leaf, hub) for leaf in range(4) for hub in (4, 5)))
     dec = h_factor_decide(g, FactorSpec.of(1, 4))
     assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "exhausted-assignments", 5)
