@@ -51,7 +51,7 @@ def _read_text(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "r", encoding="ascii") as f:
+        with open(path, "r", encoding="utf-8") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc

@@ -7,6 +7,7 @@ threads; every operation in this module is a pure function of its inputs.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -32,7 +33,7 @@ class Graph:
         seen: set[tuple[int, int]] = set()
         canonical: list[tuple[int, int]] = []
         for pair in self.edges:
-            u, v = int(pair[0]), int(pair[1])
+            u, v = operator.index(pair[0]), operator.index(pair[1])
             if not (0 <= u < self.n) or not (0 <= v < self.n):
                 raise ValueError(
                     f"edge ({u}, {v}) has an endpoint outside 0..{self.n - 1}"
@@ -80,9 +81,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex degree profile; sums to 2*m."""
         return tuple(len(a) for a in self._adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u] if 0 <= u < self.n else False
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
@@ -262,16 +260,13 @@ def articulation_points(g: Graph) -> list[int]:
     return sorted(v for v, k in count.items() if k >= 2)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph relabeled to 0..k-1, in O(sum of the chosen degrees).
-
-    Returns (subgraph, order) where order[i] is the original id of the new
-    vertex i; vertices are taken in ascending original id order.
-    """
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Induced subgraph on the distinct chosen vertices, in O(sum of their
+    degrees). New vertex i is the i-th smallest chosen id."""
     order = sorted(set(vertices))
     if order and not (0 <= order[0] and order[-1] < g.n):
         raise ValueError(f"induced vertices must lie in 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(order)}
     # Ascending ids and neighbour lists emit the pairs canonical: sorted, u < v.
     edges = tuple((i, index[w]) for i, v in enumerate(order) for w in g.neighbors(v) if w > v and w in index)
-    return Graph._canonical(len(order), edges), order
+    return Graph._canonical(len(order), edges)

@@ -163,11 +163,3 @@ def check_barrier(n: int, adj: Sequence[Sequence[int]], barrier: Sequence[int]) 
                         component.append(u)
             odd += len(component) % 2
     return odd > len(barrier)
-
-
-def matching_size(mate: Sequence[int]) -> int:
-    return sum(1 for v, u in enumerate(mate) if u > v)
-
-
-def is_perfect(mate: Sequence[int]) -> bool:
-    return all(u != -1 for u in mate)

@@ -45,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lt
+from operator import index, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, biconnected_blocks, connected_components, induced_subgraph, regularity
@@ -78,7 +78,7 @@ class FactorSpec:
     allowed: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = sorted(set(int(a) for a in self.allowed))
+        values = sorted(set(map(index, self.allowed)))
         if not values:
             raise ValueError("a factor spec needs at least one allowed degree")
         if values[0] < 0:
@@ -137,7 +137,7 @@ def normalize_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     """Canonical sorted tuple of (u, v) pairs with u < v."""
     pairs = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        u, v = index(e[0]), index(e[1])
         pairs.add((u, v) if u < v else (v, u))
     return tuple(sorted(pairs))
 
@@ -282,7 +282,7 @@ def f_factor_decide(g: Graph, targets: Sequence[int]) -> Decision:
     """Exact decision: is there a spanning subgraph with degree targets[v]
     at every vertex? Exists carries the edge set; the reduction is exact,
     not heuristic."""
-    targets = [int(t) for t in targets]
+    targets = list(map(index, targets))
     if len(targets) != g.n:
         raise ValueError(f"expected {g.n} degree targets, got {len(targets)}")
     for v, t in enumerate(targets):
@@ -391,7 +391,7 @@ def _solve_blocks(
     chosen: list[list[Edge] | None] = [None] * len(blocks)
     for i in reversed(order):
         block, v = blocks[i], attach[i]
-        sub, _ = induced_subgraph(g, block)
+        sub = induced_subgraph(g, block)
         candidates = [allowed[u] if u == v else allowed[u][:bisect_right(allowed[u], sub.degree(j))]
                       for j, u in enumerate(block)]
         if not all(candidates):

@@ -17,6 +17,7 @@ graph, hubs and spec and comparing, without any factor search.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import index
 from typing import Iterable
 
 from .graph import Graph, connected_components, edge_connectivity, is_connected, regularity
@@ -165,7 +166,7 @@ def hub_parity_analysis(
     of factor edges to the hubs; the certificate's conclusion is True when
     some hub's resulting achievable degree set is disjoint from the spec.
     """
-    hubs = tuple(sorted(set(int(h) for h in hubs)))
+    hubs = tuple(sorted(set(map(index, hubs))))
     if not hubs:
         raise ValueError("need at least one hub vertex")
     for h in hubs:
@@ -196,18 +197,3 @@ def check_certificate(g: Graph, cert: NoFactorCertificate) -> bool:
         return hub_parity_analysis(g, cert.hubs, cert.spec) == cert
     except (ValueError, IndexError, TypeError):
         return False
-
-
-def certificate_from_json(payload: dict) -> NoFactorCertificate:
-    """Rebuild a certificate from its JSON form (inverse of to_json_dict)."""
-    hubs = tuple(int(h) for h in payload["hubs"])
-    return NoFactorCertificate(
-        hubs=hubs,
-        components=tuple(tuple(int(v) for v in comp) for comp in payload["components"]),
-        cross_edges=tuple(tuple(int(c) for c in row) for row in payload["cross_edges"]),
-        spec=FactorSpec(tuple(payload["spec"])),
-        achievable_hub_degrees=tuple(
-            tuple(int(d) for d in payload["achievable"][str(h)]) for h in hubs
-        ),
-        conclusion=bool(payload["conclusion"]),
-    )

@@ -48,6 +48,10 @@ def brute_max_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
     return best
 
 
+def matching_size(mate: Sequence[int]) -> int:
+    return sum(1 for v, u in enumerate(mate) if u > v)
+
+
 def components_after_deleting(g: Graph, removed_edges: set, removed_vertices: set) -> int:
     seen = set(removed_vertices)
     count = 0

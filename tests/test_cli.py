@@ -64,6 +64,14 @@ def test_gen_descriptor(tmp_path):
     assert desc["family"] == "G1" and desc["hubs"] == [21]
 
 
+@pytest.mark.parametrize("r,graph6", [(2, "BW"), (4, "D^{"), (6, "F^~~w")])
+def test_gen_block_descriptor_pinned(tmp_path, r, graph6):
+    gpath, dpath = tmp_path / "g.g6", tmp_path / "g.json"
+    assert run(["gen", "block", "--r", str(r), "--out", str(gpath), "--descriptor", str(dpath)]) == 0
+    assert gpath.read_text() == graph6 + "\n"
+    assert dpath.read_text() == f'{{"family": "block", "r": {r}, "unsaturated": [0, 1]}}\n'
+
+
 def test_gen_families_pinned(tmp_path):
     # sha256 over graph6 lines and descriptors, taken when G1 and G2 still
     # had separate builders.
@@ -227,6 +235,16 @@ def test_escaped_stdin_byte_is_malformed_graph6(monkeypatch, capsys):
     assert run(["factor", "check", "--spec", "1"]) == 2
     assert capsys.readouterr().err == (
         "error: malformed graph input from -: graph6 byte outside the printable range 63..126\n"
+    )
+
+
+def test_non_ascii_file_is_malformed_graph6(tmp_path, capsys):
+    # The same report as the same text on standard input, not a codec error.
+    path = tmp_path / "e.g6"
+    path.write_text("\u00e9\n", encoding="utf-8")
+    assert run(["factor", "check", "--spec", "1", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed graph input from {path}: graph6 byte outside the printable range 63..126\n"
     )
 
 

@@ -51,6 +51,9 @@ def test_from_edges_rejects_out_of_range():
         from_edges(3, [(-1, 2)])
     with pytest.raises(ValueError):
         from_edges(0, [(0, 1)])
+    # A non-integral id is refused, not truncated onto a vertex.
+    with pytest.raises(TypeError):
+        Graph(3, ((0.7, 2.2),))
 
 
 def test_edges_canonicalized_and_equal():
@@ -107,8 +110,8 @@ def test_components_after_removal_match_induce_and_map_back():
     # Reference: the route connected_components(g, removed) replaces --
     # induce g minus the removed set, take its components, map the ids back.
     def induce_and_map_back(g, removed):
-        sub, order = induced_subgraph(g, [v for v in range(g.n) if v not in removed])
-        return [[order[i] for i in comp] for comp in connected_components(sub)]
+        order = [v for v in range(g.n) if v not in removed]
+        return [[order[i] for i in comp] for comp in connected_components(induced_subgraph(g, order))]
 
     rng = random.Random(2718)
     for trial in range(300):
@@ -409,9 +412,10 @@ def test_biconnected_blocks_need_no_recursion():
 
 def test_induced_subgraph_relabels():
     g = complete_graph(5)
-    sub, order = induced_subgraph(g, [4, 1, 3])
-    assert order == [1, 3, 4]
-    assert sub == complete_graph(3)
+    assert induced_subgraph(g, [4, 1, 3]) == complete_graph(3)
+    path = Graph(5, ((0, 4), (1, 4)))
+    # New ids follow the ascending old ones: 1 -> 0, 3 -> 1, 4 -> 2.
+    assert induced_subgraph(path, [4, 1, 3, 1]) == Graph(3, ((0, 2),))
     for outside in ([0, 5], [-1, 2]):
         with pytest.raises(ValueError, match="lie in"):
             induced_subgraph(g, outside)
@@ -426,12 +430,12 @@ def test_induced_subgraph_equals_validated_construction():
         g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
         for vertices in ([], list(range(n)), [rng.randrange(n)] if n else [],
                          rng.sample(range(n), rng.randint(0, n))):
-            sub, order = induced_subgraph(g, vertices)
+            sub = induced_subgraph(g, vertices)
+            order = sorted(set(vertices))
             index = {v: i for i, v in enumerate(order)}
             edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
             rng.shuffle(edges)
             ref = Graph(len(order), tuple(edges))
-            assert order == sorted(set(vertices))
             assert sub == ref and hash(sub) == hash(ref)
             assert sub.edges == ref.edges and sub._adj == ref._adj
             assert sub.degrees() == ref.degrees()

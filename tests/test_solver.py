@@ -18,7 +18,7 @@ from factorkit.generators import (
     random_regular_graph,
 )
 from factorkit.graph import Graph, is_connected
-from factorkit.matching import is_perfect, maximum_matching
+from factorkit.matching import maximum_matching
 from factorkit.solver import (
     BRUTE_FORCE_EDGE_CAP,
     EXISTS,
@@ -59,6 +59,8 @@ def test_spec_normalization():
         FactorSpec.of(-1)
     with pytest.raises(ValueError):
         FactorSpec.complementary(7, 6)
+    with pytest.raises(TypeError):
+        FactorSpec.of(1.5)
 
 
 def test_verify_factor_examples():
@@ -78,6 +80,9 @@ def test_verify_factor_examples():
     assert not verify_factor(c4, [[3, 0], [1, 2], [2, 1]], FactorSpec.of(2))
     with pytest.raises(ValueError, match=r"^certificate edge \(0, 2\) is not an edge"):
         verify_factor(c4, [(3, 1), (0, 1), (2, 0)], FactorSpec.of(1))
+    # Non-integral endpoints are refused, not truncated onto a host edge.
+    with pytest.raises(TypeError):
+        verify_factor(complete_graph(2), [(0.9, 1.2)], FactorSpec.of(1))
 
 
 # Under {1, 2}: a repeated edge that keeps every degree in the spec, a
@@ -111,6 +116,8 @@ def test_f_factor_validates_targets():
         f_factor_decide(c4, [-1, 1, 1, 1])
     with pytest.raises(ValueError, match="expected"):
         f_factor_decide(c4, [1, 1])
+    with pytest.raises(TypeError):
+        f_factor_decide(complete_graph(2), [1.7, 1.2])
 
 
 def test_f_factor_odd_sum_is_parity():
@@ -146,7 +153,7 @@ def test_f_factor_all_ones_agrees_with_perfect_matching():
             continue  # the all-ones prescription needs minimum degree 1
         dec = f_factor_decide(g, [1] * n)
         mate = maximum_matching(g.n, [list(g.neighbors(v)) for v in range(g.n)])
-        assert dec.exists == is_perfect(mate)
+        assert dec.exists == (-1 not in mate)
         checked += 1
 
 
