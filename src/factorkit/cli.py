@@ -25,14 +25,8 @@ from typing import Sequence
 from . import io as gio
 from .constructions import build_g1, build_g2, near_complete_block
 from .graph import Graph, regularity
-from .solver import (
-    DEFAULT_NODE_BUDGET,
-    INCONCLUSIVE,
-    Decision,
-    FactorSpec,
-    h_factor_decide,
-)
-from .theorems import SearchInconclusive, check_certificate, gallai_check, hub_parity_analysis, verify_theorem2
+from .solver import DEFAULT_NODE_BUDGET, FactorSpec, h_factor_decide
+from .theorems import check_certificate, gallai_check, hub_parity_analysis, verify_theorem2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,7 +34,7 @@ EXIT_INTERNAL = 4
 # An answer's exit code: yes, no, or None when the search hit its node budget.
 EXIT_CODE = {True: EXIT_OK, False: 1, None: 3}
 
-INCONCLUSIVE_MESSAGE = "inconclusive: the factor search hit its node budget"
+NO_VERDICT_MESSAGE = "inconclusive: the factor search hit its node budget"
 
 
 class CliError(Exception):
@@ -79,8 +73,8 @@ def _complementary(g: Graph, k: int, irregular: str) -> FactorSpec:
         raise CliError(str(exc)) from exc
 
 
-def _decided(decision: Decision) -> bool | None:
-    return None if decision.verdict == INCONCLUSIVE else decision.exists
+def _int_list(text: str) -> list[int]:
+    return [gio.ascii_int(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _answer_factor(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
@@ -88,7 +82,7 @@ def _answer_factor(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
         spec = _complementary(g, args.kr, "--kr needs a regular input graph to expand {k, r-k}")
     else:
         try:
-            spec = FactorSpec(tuple(int(part) for part in args.spec.split(",") if part.strip()))
+            spec = FactorSpec(tuple(_int_list(args.spec)))
         except ValueError as exc:
             raise CliError(f"bad degree set {args.spec!r}: {exc}") from exc
     decision = h_factor_decide(g, spec, budget=args.budget)
@@ -101,7 +95,7 @@ def _answer_factor(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
     )
     if args.mode == "find" and decision.certificate is not None:
         human += "\ncertificate: " + json.dumps([list(e) for e in decision.certificate])
-    return {"spec": list(spec.allowed), "decision": payload}, human, EXIT_CODE[_decided(decision)]
+    return {"spec": list(spec.allowed), "decision": payload}, human, EXIT_CODE[decision.exists]
 
 
 def _answer_thm2(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
@@ -109,12 +103,10 @@ def _answer_thm2(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
         holds = verify_theorem2(g)
     except ValueError as exc:
         raise CliError(f"precondition violated: {exc}") from exc
-    except SearchInconclusive:
-        holds = None
     human = {
         True: "theorem holds",
         False: "theorem VIOLATED on this instance",
-        None: INCONCLUSIVE_MESSAGE,
+        None: NO_VERDICT_MESSAGE,
     }
     result = {"theorem": "half-degree-factor-iff-even-order", "holds": holds}
     return result, human[holds], EXIT_CODE[holds]
@@ -126,14 +118,14 @@ def _answer_gallai(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
     report = gallai_check(g, args.k)
     factor_exists = None
     if report.applicable:
-        factor_exists = _decided(h_factor_decide(g, FactorSpec.of(args.k)))
+        factor_exists = h_factor_decide(g, FactorSpec.of(args.k)).exists
     result = {"report": report.to_json_dict(), "factor_exists": factor_exists}
     if not report.applicable:
         return result, f"not applicable: {report.reason}", EXIT_CODE[False]
     human = {
         True: f"applicable (m={report.m}) and the {args.k}-factor exists",
         False: "hypotheses hold but no factor found: bound VIOLATED",
-        None: INCONCLUSIVE_MESSAGE,
+        None: NO_VERDICT_MESSAGE,
     }
     return result, human[factor_exists], EXIT_CODE[factor_exists]
 
@@ -144,7 +136,7 @@ def _answer_no_factor(args: argparse.Namespace, g: Graph) -> tuple[dict, str, in
     if args.hubs is None:
         raise CliError("verify no-factor requires --hubs")
     try:
-        hubs = [int(part) for part in args.hubs.split(",") if part.strip()]
+        hubs = _int_list(args.hubs)
     except ValueError as exc:
         raise CliError(f"bad hub list {args.hubs!r}") from exc
     spec = _complementary(
@@ -230,9 +222,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _node_budget(text: str) -> int:
-    if not text.isdecimal():
+    try:
+        budget = gio.ascii_int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    return budget
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -245,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a block, G1, or G2 family member")
     p_gen.add_argument("family", choices=("block", "g1", "g2"))
-    p_gen.add_argument("--r", type=int, required=True, help="regular degree r")
+    p_gen.add_argument("--r", type=gio.ascii_int, required=True, help="regular degree r")
     p_gen.add_argument("--format", choices=gio.FORMATS, default="graph6")
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
     p_gen.add_argument(
@@ -257,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spec_group = p_factor.add_mutually_exclusive_group(required=True)
     spec_group.add_argument("--spec", help="comma-separated allowed degrees, e.g. 1,5")
     spec_group.add_argument(
-        "--kr", type=int, help="expand to {k, r-k} using the input graph's regularity"
+        "--kr", type=gio.ascii_int, help="expand to {k, r-k} using the input graph's regularity"
     )
     p_factor.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
     p_factor.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
@@ -266,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a theorem or a parity certificate")
     p_verify.add_argument("check", choices=("thm2", "gallai", "no-factor"))
     p_verify.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
-    p_verify.add_argument("--k", type=int, default=None)
+    p_verify.add_argument("--k", type=gio.ascii_int, default=None)
     p_verify.add_argument("--hubs", default=None, help="comma-separated hub vertex ids")
     p_verify.add_argument("--json", action="store_true")
 

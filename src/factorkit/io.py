@@ -136,9 +136,17 @@ def _checked_graph(n: int, n_line: int, ends: list[tuple[int, int, int]], base: 
     return Graph(n, tuple((u - base, v - base) for _, u, v in ends))
 
 
+def ascii_int(text: str) -> int:
+    """int(text) for an optional sign then ASCII digits 0-9; int() alone also
+    reads other scripts' digits, underscores and surrounding spaces."""
+    if text.isascii() and text.lstrip("+-").isdigit():
+        return int(text)  # raises on a repeated sign
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
 def _line_ints(lineno: int, line: str, fields: list[str]) -> list[int]:
     try:
-        return [int(x) for x in fields]
+        return [ascii_int(x) for x in fields]
     except ValueError:
         raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
 

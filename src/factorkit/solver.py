@@ -110,7 +110,8 @@ class Decision:
     verdict is "exists" (with a certificate), "not-exists" (only after a
     complete search or a valid parity argument; method records which), or
     "inconclusive" when the node budget ran out before the space was
-    exhausted -- never a silently wrong answer.
+    exhausted -- never a silently wrong answer. exists reads the verdict
+    as True, False or None.
     """
 
     verdict: str
@@ -119,8 +120,8 @@ class Decision:
     nodes_explored: int = 0
 
     @property
-    def exists(self) -> bool:
-        return self.verdict == EXISTS
+    def exists(self) -> bool | None:
+        return None if self.verdict == INCONCLUSIVE else self.verdict == EXISTS
 
     def to_json_dict(self) -> dict:
         payload: dict = {

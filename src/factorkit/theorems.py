@@ -21,7 +21,7 @@ from operator import index
 from typing import Iterable
 
 from .graph import Graph, connected_components, edge_connectivity, is_connected, regularity
-from .solver import INCONCLUSIVE, FactorSpec, h_factor_decide
+from .solver import FactorSpec, h_factor_decide
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,14 @@ def gallai_check(g: Graph, k: int) -> GallaiReport:
     return GallaiReport(r, m, k, n_even, bounds_ok, applicable, reason)
 
 
-class SearchInconclusive(RuntimeError):
-    """The factor search hit its node budget, so no verdict was reached."""
-
-
-def verify_theorem2(g: Graph) -> bool:
+def verify_theorem2(g: Graph) -> bool | None:
     """Check both directions of "an r/2-factor exists iff the order is even"
     on a connected r-regular graph with r/2 odd.
 
     The positive direction demands an actual certificate from the solver,
     not just the Gallai hypotheses. Returns True iff the equivalence holds
-    on this instance (anything else would be a counterexample). Raises
-    SearchInconclusive when the search uses up its node budget.
+    on this instance (anything else would be a counterexample), and None
+    when the search uses up its node budget.
     """
     r = regularity(g)
     if r is None:
@@ -92,10 +88,8 @@ def verify_theorem2(g: Graph) -> bool:
         raise ValueError(f"need even r with r/2 odd, got r={r}")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    decision = h_factor_decide(g, FactorSpec.of(r // 2))
-    if decision.verdict == INCONCLUSIVE:
-        raise SearchInconclusive("factor search hit its node budget; no verdict")
-    return decision.exists == (g.n % 2 == 0)
+    exists = h_factor_decide(g, FactorSpec.of(r // 2)).exists
+    return None if exists is None else exists == (g.n % 2 == 0)
 
 
 @dataclass(frozen=True)

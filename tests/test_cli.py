@@ -355,6 +355,32 @@ def test_verify_gallai_requires_k(tmp_path, capsys):
     assert run(["verify", "gallai", "--in", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factor", "check", "--spec", "1,x", "--in", "{g1}"], "bad degree set '1,x'"),
+        (["factor", "check", "--spec", "\u0663", "--in", "{g1}"], "bad degree set"),
+        (["factor", "check", "--spec", "1_5", "--in", "{g1}"], "bad degree set '1_5'"),
+        (["factor", "check", "--kr", "9", "--in", "{g1}"], "need 0 <= k <= r, got k=9, r=6"),
+        (["verify", "no-factor", "--hubs", "21", "--in", "{g1}"], "verify no-factor requires --k"),
+        (["verify", "no-factor", "--k", "1", "--in", "{g1}"], "verify no-factor requires --hubs"),
+        (["verify", "no-factor", "--k", "1", "--hubs", "21,x", "--in", "{g1}"], "bad hub list '21,x'"),
+        (["verify", "no-factor", "--k", "1", "--hubs", "2_1", "--in", "{g1}"], "bad hub list '2_1'"),
+        (["verify", "no-factor", "--k", "1", "--hubs", "22", "--in", "{g1}"], "hub 22 is not a vertex"),
+        (["gen", "g1", "--r", "6", "--out", "{tmp}/missing/g1.g6"], "cannot write {tmp}/missing/g1.g6"),
+    ],
+    ids=["spec-letter", "spec-arabic-indic-digit", "spec-underscore", "kr-above-r", "no-factor-without-k",
+         "no-factor-without-hubs", "hubs-letter", "hubs-underscore", "hub-outside-graph", "out-missing-dir"],
+)
+def test_input_error_is_one_error_line(g1_path, tmp_path, capsys, argv, message):
+    fill = {"g1": g1_path, "tmp": str(tmp_path)}
+    assert run([arg.format(**fill) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: " + message.format(**fill))
+
+
 def test_verify_no_factor(g1_path, capsys):
     assert run(["verify", "no-factor", "--in", g1_path, "--hubs", "21",
                 "--k", "1", "--json"]) == 0
@@ -419,6 +445,11 @@ def test_convert_malformed(tmp_path, capsys):
     assert run(["convert", "--from", "edges", "--to", "graph6",
                 "--in", str(path)]) == 2
     assert "line 3: malformed edge-list line" in capsys.readouterr().err
+    path.write_text("3\n\u0660 \u0661\n", encoding="utf-8")  # Arabic-Indic 0 and 1
+    assert run(["convert", "--from", "edges", "--to", "dimacs",
+                "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 2: non-integer field" in captured.err
 
 
 def test_convert_too_large_for_graph6(tmp_path, capsys):
@@ -430,10 +461,22 @@ def test_convert_too_large_for_graph6(tmp_path, capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(g1_path, capsys):
     assert run(["factor", "check"]) == 2  # missing --spec/--kr
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+    # Integer flags take an optional sign and ASCII digits only: Arabic-Indic
+    # 6, 10, 1 and 3 are not numbers here.
+    capsys.readouterr()
+    for argv, flag in [
+        (["gen", "g1", "--r", "\u0666"], "--r"),
+        (["factor", "check", "--spec", "3", "--budget", "\u0661\u0660", "--in", g1_path], "--budget"),
+        (["factor", "check", "--kr", "\u0661", "--in", g1_path], "--kr"),
+        (["verify", "gallai", "--k", "\u0663", "--in", g1_path], "--k"),
+    ]:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}:" in captured.err
 
 
 def test_console_entry_point():

@@ -51,6 +51,8 @@ def test_from_edges_rejects_out_of_range():
         from_edges(3, [(-1, 2)])
     with pytest.raises(ValueError):
         from_edges(0, [(0, 1)])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        Graph(-1, ())
     # A non-integral id is refused, not truncated onto a vertex.
     with pytest.raises(TypeError):
         Graph(3, ((0.7, 2.2),))

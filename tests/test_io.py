@@ -92,6 +92,10 @@ def test_decode_rejects_malformed():
         decode_graph6(b"C\x1f")
     with pytest.raises(ValueError, match="empty"):
         decode_graph6(b"")
+    with pytest.raises(ValueError, match="truncated graph6 long header"):
+        decode_graph6(b"~??")
+    with pytest.raises(ValueError, match="eight-byte header"):
+        decode_graph6(b"~~")
 
 
 @pytest.mark.parametrize("text", ["\u00e9", "\udcff"])
@@ -126,6 +130,16 @@ def test_dimacs_rejects_bad_input():
     # named in the file's 1-based ids, not in Graph's 0-based ones.
     with pytest.raises(ValueError, match=r"line 2: non-integer field in 'e a 1'"):
         from_dimacs("p edge 2 1\ne a 1\n")
+    # Integers are an optional sign and ASCII digits: no other script's
+    # digits, no underscores.
+    with pytest.raises(ValueError, match=r"line 2: non-integer field in 'e \u0661 2'"):
+        from_dimacs("p edge 2 1\ne \u0661 2\n")
+    with pytest.raises(ValueError, match=r"line 1: non-integer field in 'p edge 1_0 0'"):
+        from_dimacs("p edge 1_0 0\n")
+    with pytest.raises(ValueError, match=r"line 2: duplicate problem line"):
+        from_dimacs("p edge 2 0\np edge 2 0\n")
+    with pytest.raises(ValueError, match=r"line 2: malformed edge line 'e 1'"):
+        from_dimacs("p edge 2 1\ne 1\n")
     with pytest.raises(ValueError, match=r"line 2: self-loop at vertex 1$"):
         from_dimacs("p edge 2 1\ne 1 1\n")
     with pytest.raises(ValueError, match=r"line 4: edge 3 1 repeats line 2"):
@@ -148,6 +162,12 @@ def test_edge_list_rejects_bad_input():
         from_edge_list("\n3 4\n")
     with pytest.raises(ValueError, match=r"line 2: non-integer field in '0 a'"):
         from_edge_list("3\n0 a\n")
+    with pytest.raises(ValueError, match=r"line 2: non-integer field in '\u0660 \u0661'"):
+        from_edge_list("3\n\u0660 \u0661\n")
+    with pytest.raises(ValueError, match=r"line 2: non-integer field in '0 1_0'"):
+        from_edge_list("11\n0 1_0\n")
+    with pytest.raises(ValueError, match=r"line 1: non-integer field in '\uff13'"):
+        from_edge_list("\uff13\n")  # fullwidth 3
     with pytest.raises(ValueError, match=r"line 4: malformed edge-list line '0 1 2'"):
         from_edge_list("3\n0 1\n\n0 1 2\n")
 
@@ -176,6 +196,8 @@ def test_read_graphs_batch():
     text = write_graph(cycle_graph(4), "graph6") + write_graph(complete_graph(4), "graph6")
     graphs = read_graphs(text, "graph6")
     assert graphs == [cycle_graph(4), complete_graph(4)]
+    with pytest.raises(ValueError, match="no graph6 lines"):
+        read_graphs("\n", "graph6")
 
 
 def test_graph6_matches_networkx():

@@ -261,7 +261,7 @@ def test_h_factor_examples():
 def test_h_factor_g1_counterexample():
     g1 = build_g1(6).graph
     dec = h_factor_decide(g1, FactorSpec.of(1, 5))
-    assert dec.verdict == NOT_EXISTS
+    assert dec.verdict == NOT_EXISTS and dec.exists is False
     assert dec.method == "exhausted-assignments"
 
 
@@ -278,8 +278,10 @@ def test_h_factor_budget_is_honest():
     g = random_regular_graph(10, 5, random.Random(6))
     dec = h_factor_decide(g, FactorSpec.of(1, 2), budget=0)
     assert dec.verdict == INCONCLUSIVE and dec.method == "budget"
+    assert dec.exists is None  # no answer, not a "no"
     full = h_factor_decide(g, FactorSpec.of(1, 2))
     assert full.verdict in (EXISTS, NOT_EXISTS)
+    assert full.exists is (full.verdict == EXISTS)
 
 
 def test_two_hub_probe_is_one_node():

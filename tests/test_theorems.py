@@ -6,7 +6,7 @@ import pytest
 from factorkit.constructions import build_g1, build_g2
 from factorkit.generators import circulant_graph, complete_graph, cycle_graph
 from factorkit.graph import Graph
-from factorkit.solver import FactorSpec, h_factor_decide
+from factorkit.solver import INCONCLUSIVE, METHOD_BUDGET, Decision, FactorSpec, h_factor_decide
 from factorkit.theorems import (
     GallaiReport,
     check_certificate,
@@ -51,6 +51,8 @@ def test_gallai_non_regular_and_disconnected():
 def test_gallai_even_k_not_applicable():
     report = gallai_check(circulant_graph(8, (1, 2, 3)), 2)
     assert not report.applicable and "even" in report.reason
+    report = gallai_check(complete_graph(6), 1)  # 5-regular
+    assert not report.applicable and report.reason == "degree r is odd"
 
 
 def test_gallai_crosscheck_on_applicable_instances():
@@ -65,8 +67,18 @@ def test_gallai_crosscheck_on_applicable_instances():
 
 
 def test_theorem2_both_directions():
-    assert verify_theorem2(complete_graph(7))  # odd order, no 3-factor
-    assert verify_theorem2(circulant_graph(8, (1, 2, 3)))  # even order, certificate
+    assert verify_theorem2(complete_graph(7)) is True  # odd order, no 3-factor
+    assert verify_theorem2(circulant_graph(8, (1, 2, 3))) is True  # even order, certificate
+
+
+def test_theorem2_inconclusive_search_is_none(monkeypatch):
+    # A spent node budget is no verdict: neither "holds" nor a counterexample.
+    def inconclusive(g, spec, budget=None):
+        return Decision(INCONCLUSIVE, METHOD_BUDGET, None, 0)
+
+    monkeypatch.setattr("factorkit.theorems.h_factor_decide", inconclusive)
+    assert verify_theorem2(complete_graph(7)) is None
+    assert verify_theorem2(circulant_graph(8, (1, 2, 3))) is None
 
 
 def test_theorem2_rejects_preconditions():
