@@ -213,6 +213,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         graphs = gio.read_graphs(text, args.src)
     except ValueError as exc:
         raise CliError(f"malformed {args.src} input: {exc}") from exc
+    if len(graphs) > 1 and args.dst != "graph6":
+        raise CliError(f"cannot convert {len(graphs)} graphs to {args.dst}, which holds one")
     try:
         out = "".join(gio.write_graph(g, args.dst) for g in graphs)
     except ValueError as exc:
@@ -296,7 +298,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError as exc:
+    except OSError as exc:  # only stdout is left unwrapped: a closed pipe or a full disk
         print(f"error: cannot write -: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
@@ -308,7 +310,7 @@ def main() -> None:
     code = run()
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Python flushes stdout again at exit; send what a closed pipe refused to devnull.
+    except OSError:
+        # Python flushes stdout again at exit; send what stdout refused to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

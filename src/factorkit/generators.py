@@ -65,21 +65,10 @@ def random_regular_graph(n: int, r: int, rng: random.Random) -> Graph:
     for _ in range(10000):
         stubs = [v for v in range(n) for _ in range(r)]
         rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if not ok:
+        try:  # Graph rejects a self-loop or a repeated pair
+            g = Graph(n, tuple(zip(stubs[::2], stubs[1::2])))
+        except ValueError:
             continue
-        g = Graph(n, tuple(edges))
         if not is_connected(g):
             continue
         assert regularity(g) == r

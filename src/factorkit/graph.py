@@ -153,8 +153,6 @@ def edge_connectivity(g: Graph) -> int:
     if not is_connected(g):
         return 0
     best = min(g.degrees())
-    if best == 0:
-        return 0
     # Arcs 2i (u -> v) and 2i+1 (v -> u) for edge i = (u, v): the reverse of
     # arc a is a ^ 1. Sorted edges keep each arcs_of list in neighbor order.
     head = [w for u, v in g.edges for w in (v, u)]

@@ -365,15 +365,10 @@ def _solve_blocks(
     for i, block in enumerate(blocks):
         for v in block:
             blocks_of[v].append(i)
-    # Components and their runs of blocks come in the same order, and a run
-    # ends with the last block holding the component's least vertex.
-    order: list[int] = []
-    first = 0
-    for comp in comps:
-        if blocks_of[comp[0]]:  # else an isolated vertex, whose allowed holds 0
-            last = blocks_of[comp[0]][-1]
-            order.append(max(range(first, last + 1), key=lambda i: len(blocks[i])))
-            first = last + 1
+    # Each component's root is its largest block, the lowest index among equals;
+    # an isolated vertex, whose allowed holds 0, lies in no block.
+    order = [min({i for v in comp for i in blocks_of[v]}, key=lambda i: (-len(blocks[i]), i))
+             for comp in comps if blocks_of[comp[0]]]
     # Breadth first from the roots: every block but the root holding v hangs
     # from v, so order lists each block before the blocks below it.
     attach = [-1] * len(blocks)
@@ -473,7 +468,8 @@ def h_factor_decide(
     drawn from spec, pruned by parity, the block-cut tree and relaxation;
     NotExists means that space was provably exhausted. The budget counts
     each branch and bound node and each query of a non-root block; a
-    negative budget is a ValueError."""
+    negative budget is a ValueError, a non-integral one a TypeError."""
+    budget = index(budget)
     if budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {budget}")
     comps = connected_components(g)

@@ -49,8 +49,10 @@ def gallai_check(g: Graph, k: int) -> GallaiReport:
     """Evaluate the Gallai bound's hypotheses for a k-factor of g.
 
     Never decides existence itself; when applicable is True, a factor
-    search must succeed, which makes this a cross-check on the solver.
+    search must succeed, which makes this a cross-check on the solver. A
+    non-integral k is a TypeError.
     """
+    k = index(k)
     n_even = g.n % 2 == 0
     r = regularity(g)
     if r is None:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -248,20 +249,27 @@ def test_non_ascii_file_is_malformed_graph6(tmp_path, capsys):
     )
 
 
-class _ClosedPipe(io.StringIO):
+class _Unwritable(io.StringIO):
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        raise self.error
 
 
 @pytest.mark.parametrize(
     "argv", [["factor", "find", "--spec", "3", "--in", "g.g6"], ["gen", "g1", "--r", "6"]]
 )
 def test_closed_output_pipe_is_output_error(tmp_path, monkeypatch, capsys, argv):
+    # A closed pipe and a full disk alike: stdout that cannot be written.
     monkeypatch.chdir(tmp_path)
     assert run(["gen", "g1", "--r", "6", "--out", "g.g6"]) == 0
-    monkeypatch.setattr("sys.stdout", _ClosedPipe())
-    assert run(argv) == 2
-    assert capsys.readouterr().err == "error: cannot write -: [Errno 32] Broken pipe\n"
+    for error in (BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                  OSError(errno.ENOSPC, "No space left on device")):
+        monkeypatch.setattr("sys.stdout", _Unwritable(error))
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write -: {error}\n"
 
 
 def test_factor_malformed_input(tmp_path, capsys):
@@ -450,6 +458,13 @@ def test_convert_malformed(tmp_path, capsys):
                 "--in", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "line 2: non-integer field" in captured.err
+    # dimacs and edge lists hold one graph, so a graph6 batch cannot go there.
+    path = write_g6(tmp_path, "two.g6", complete_graph(3), complete_graph(4))
+    for dst in ("dimacs", "edges"):
+        assert run(["convert", "--from", "graph6", "--to", dst, "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot convert 2 graphs to {dst}, which holds one\n"
 
 
 def test_convert_too_large_for_graph6(tmp_path, capsys):

@@ -353,6 +353,8 @@ def test_h_factor_negative_budget_is_an_error():
     g = build_g1(6).graph
     with pytest.raises(ValueError, match="budget"):
         h_factor_decide(g, FactorSpec.of(1, 5), budget=-1)
+    with pytest.raises(TypeError):
+        h_factor_decide(g, FactorSpec.of(1, 5), budget=2.5)
 
 
 def test_h_factor_matches_brute_force_on_random_corpus():
@@ -543,6 +545,34 @@ def test_long_path_is_one_pass(monkeypatch):
     assert dec.exists and verify_factor(g, dec.certificate, spec)
     assert dec.nodes_explored <= 2 * g.n
     assert len(calls["blocks"]) == 1 and len(calls["induced"]) <= g.n - 1
+
+
+def test_search_does_not_depend_on_block_order(monkeypatch):
+    # Each component's root and its blocks' attachments come from the blocks
+    # themselves, not from their place in the decomposition's list, so a
+    # shuffled list gives the same verdicts. Node counts and certificates may
+    # differ: child blocks fold into their cut vertex in another order.
+    cases = [(build(r).graph, FactorSpec.complementary(k, r))
+             for build, degrees in ((build_g1, (6, 10, 14)), (build_g2, (8, 12)))
+             for r in degrees for k in range(r // 2 + 1)]
+    rng = random.Random(1980)
+    for _ in range(150):
+        n = rng.randint(2, 16)
+        g = random_graph(n, rng.randint(n // 2, min(2 * n, n * (n - 1) // 2)), rng)
+        cases += [(g, FactorSpec.of(*s)) for s in ((1,), (1, 3), (1, 2), (0, 2))]
+    verdicts = [h_factor_decide(g, spec).verdict for g, spec in cases]
+    real_blocks = solver.biconnected_blocks
+
+    def shuffled_blocks(g):
+        blocks = real_blocks(g)
+        rng.shuffle(blocks)
+        return blocks
+
+    monkeypatch.setattr(solver, "biconnected_blocks", shuffled_blocks)
+    for (g, spec), verdict in zip(cases, verdicts):
+        dec = h_factor_decide(g, spec)
+        assert dec.verdict == verdict, (g.n, g.edges, spec.allowed)
+        assert not dec.exists or verify_factor(g, dec.certificate, spec)
 
 
 def test_memo_tells_equal_sized_pieces_apart():

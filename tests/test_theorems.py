@@ -53,6 +53,8 @@ def test_gallai_even_k_not_applicable():
     assert not report.applicable and "even" in report.reason
     report = gallai_check(complete_graph(6), 1)  # 5-regular
     assert not report.applicable and report.reason == "degree r is odd"
+    with pytest.raises(TypeError):
+        gallai_check(cycle_graph(8), 1.0)
 
 
 def test_gallai_crosscheck_on_applicable_instances():
