@@ -115,7 +115,10 @@ def _answer_thm2(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
 def _answer_gallai(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
     if args.k is None:
         raise CliError("verify gallai requires --k")
-    report = gallai_check(g, args.k)
+    try:
+        report = gallai_check(g, args.k)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     factor_exists = None
     if report.applicable:
         factor_exists = h_factor_decide(g, FactorSpec.of(args.k)).exists
@@ -233,8 +236,14 @@ def _node_budget(text: str) -> int:
     return budget
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse's own print_help drops a failed write, and --help would exit 0.
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factorkit",
         description="Generate regular hub-and-blocks families, decide degree-set "
         "factors exactly, and verify the supporting theorems.",
@@ -276,33 +285,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(argv: list[str]) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help, or a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
+    if args.command == "gen":
+        return _cmd_gen(args)
+    if args.command == "convert":
+        return _cmd_convert(args)
+    answer = _answer_factor if args.command == "factor" else VERIFY_ANSWERS[args.check]
+    return _each_graph(args, "factorkit " + " ".join(argv), answer)
+
+
+def _complain(line: str) -> None:
+    """One line to stderr; stderr that cannot be written loses only the line,
+    never the exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    echo = "factorkit " + " ".join(argv)
-    try:
-        if args.command == "gen":
-            code = _cmd_gen(args)
-        elif args.command == "convert":
-            code = _cmd_convert(args)
-        else:
-            answer = _answer_factor if args.command == "factor" else VERIFY_ANSWERS[args.check]
-            code = _each_graph(args, echo, answer)
+        code = _dispatch(argv)
         sys.stdout.flush()  # a closed pipe fails here, not silently at exit
         return code
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:  # only stdout is left unwrapped: a closed pipe or a full disk
-        print(f"error: cannot write -: {exc}", file=sys.stderr)
+        _complain(f"error: cannot write -: {exc}")
         return EXIT_USAGE
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _complain(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -139,19 +139,21 @@ def edge_connectivity(g: Graph) -> int:
     The minimum degree delta bounds it. Below delta, each side of a minimum
     cut has a vertex with no neighbour across the cut (Matula 1987), so any
     dominating set D meets both sides. The i-th of |D|-1 unit-capacity max
-    flows, of at most delta augmentations each, runs from the grown source
-    set {D[0], ..., D[i-1]} to D[i] (Matula 1987; Hao-Orlin 1994): the first
+    flows, cut off at the best value so far, runs from the grown source set
+    {D[0], ..., D[i-1]} to D[i] (Matula 1987; Hao-Orlin 1994): the first
     D[i] across a minimum cut from D[0] has every earlier member on D[0]'s
     side, so its flow is that cut, and every flow is at least the edge
-    connectivity. Each augmenting path is searched backwards from the sink
-    and stops at the first source vertex, so late sinks, which lie next to
-    the grown set, touch few arcs. A disconnected graph has edge
-    connectivity 0. Requires n >= 2.
+    connectivity.
+
+    D is greedy by coverage: gain[v] counts v's uncovered closed neighbours
+    and drops as they get covered, so a heap entry is checked in O(1). Every
+    flow shares one residual list and restores the arcs it used. No
+    connectivity pass runs first: on a disconnected graph the first D[i]
+    outside D[0]'s component gets flow 0, and a graph with an isolated vertex
+    has delta = 0, which cuts every flow off at 0. Requires n >= 2.
     """
     if g.n < 2:
         raise ValueError("edge connectivity is defined for graphs with n >= 2")
-    if not is_connected(g):
-        return 0
     best = min(g.degrees())
     # Arcs 2i (u -> v) and 2i+1 (v -> u) for edge i = (u, v): the reverse of
     # arc a is a ^ 1. Sorted edges keep each arcs_of list in neighbor order.
@@ -159,58 +161,100 @@ def edge_connectivity(g: Graph) -> int:
     arcs_of: list[list[int]] = [[] for _ in range(g.n)]
     for a in range(len(head)):
         arcs_of[head[a ^ 1]].append(a)
-    # Greedy by coverage, ties to the smallest id; a stale gain only overstates.
-    uncovered = set(range(g.n))
-    heap = [(-1 - g.degree(v), v) for v in range(g.n)]
+    # Greedy by coverage, ties to the smallest id; a stale entry only overstates.
+    gain = [1 + g.degree(v) for v in range(g.n)]
+    covered = [False] * g.n
+    uncovered = g.n
+    heap = [(-gain[v], v) for v in range(g.n)]
     heapq.heapify(heap)
     dominating: list[int] = []
     while uncovered:
         neg_gain, v = heapq.heappop(heap)
-        fresh = uncovered.intersection((v, *g.neighbors(v)))
-        if len(fresh) < -neg_gain:
-            heapq.heappush(heap, (-len(fresh), v))
-        else:
-            dominating.append(v)
-            uncovered -= fresh
+        if gain[v] < -neg_gain:
+            heapq.heappush(heap, (-gain[v], v))
+            continue
+        dominating.append(v)
+        for u in (v, *g.neighbors(v)):
+            if not covered[u]:
+                covered[u] = True
+                uncovered -= 1
+                gain[u] -= 1
+                for w in g.neighbors(u):
+                    gain[w] -= 1
+    residual = [1] * len(head)
     source = [False] * g.n
     for s, t in zip(dominating, dominating[1:]):
-        # The flow never exceeds its cutoff, and is >= 1 on a connected graph.
         source[s] = True
-        best = _unit_max_flow(head, arcs_of, source, t, cutoff=best)
+        best = _unit_max_flow(head, arcs_of, residual, source, t, cutoff=best)
     return best
 
 
-def _unit_max_flow(head: list[int], arcs_of: list[list[int]], source: list[bool], t: int, cutoff: int) -> int:
-    # Undirected unit capacities: both arcs of an edge start with residual 1.
-    # BFS augmenting paths (Edmonds-Karp) searched backwards from t: for arc a
-    # out of a dequeued vertex, a ^ 1 runs from head[a] into it. A path ends at
-    # the first source vertex found, so no source is interior to it. Stops
-    # early at `cutoff`.
-    residual = [1] * len(head)
+def _unit_max_flow(
+    head: list[int], arcs_of: list[list[int]], residual: list[int], source: list[bool], t: int, cutoff: int
+) -> int:
+    # Undirected unit capacities: both arcs of an edge have residual 1 on entry,
+    # and again on return. Dinic phases (Dinic 1970; Even-Tarjan 1975) run
+    # backwards from t: a BFS labels each vertex with its residual distance to
+    # t, level by level, and stops after the first level that holds a source,
+    # so no source is interior to a path. Depth-first walks from those sources
+    # then augment a blocking set of shortest paths: each step goes one level
+    # closer to t, a current-arc pointer per vertex skips arcs already tried,
+    # and a vertex with no way on is unlabelled as it is left. Stops at `cutoff`.
+    n = len(arcs_of)
+    used: list[int] = []  # arcs augmented along, restored on return
     flow = 0
     while flow < cutoff:
-        # via[w] is the arc leaving w towards t; t is marked with a non-arc value.
-        via = [-1] * len(arcs_of)
-        via[t] = -2
-        queue = deque([t])
-        s = -1
-        while queue and s == -1:
-            for a in arcs_of[queue.popleft()]:
-                w = head[a]
-                if via[w] == -1 and residual[a ^ 1] > 0:
-                    via[w] = a ^ 1
-                    if source[w]:
-                        s = w
-                        break
-                    queue.append(w)
-        if s == -1:
+        level = [-1] * n
+        level[t] = 0
+        frontier = [t]
+        starts: list[int] = []
+        depth = 0
+        while frontier and not starts:
+            depth += 1
+            reached = []
+            for v in frontier:
+                # Arc a leaves v; a ^ 1 enters v from head[a].
+                for a in arcs_of[v]:
+                    w = head[a]
+                    if level[w] == -1 and residual[a ^ 1]:
+                        level[w] = depth
+                        if source[w]:
+                            starts.append(w)
+                        else:
+                            reached.append(w)
+            frontier = reached
+        if not starts:
             break
-        while s != t:
-            a = via[s]
-            residual[a] -= 1
-            residual[a ^ 1] += 1
-            s = head[a]
-        flow += 1
+        tried = [0] * n
+        for s in starts:
+            path: list[int] = []
+            v = s
+            while flow < cutoff:
+                if v == t:
+                    for a in path:
+                        residual[a] -= 1
+                        residual[a ^ 1] += 1
+                    used += path
+                    flow += 1
+                    path.clear()
+                    v = s
+                    continue
+                arcs = arcs_of[v]
+                closer = level[v] - 1
+                i = tried[v]
+                while i < len(arcs) and not (residual[arcs[i]] and level[head[arcs[i]]] == closer):
+                    i += 1
+                tried[v] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    v = head[arcs[i]]
+                elif path:
+                    level[v] = -1
+                    v = head[path.pop() ^ 1]
+                else:
+                    break
+    for a in used:
+        residual[a] = residual[a ^ 1] = 1
     return flow
 
 

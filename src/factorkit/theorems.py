@@ -50,9 +50,11 @@ def gallai_check(g: Graph, k: int) -> GallaiReport:
 
     Never decides existence itself; when applicable is True, a factor
     search must succeed, which makes this a cross-check on the solver. A
-    non-integral k is a TypeError.
+    non-integral k is a TypeError, and a negative k a ValueError.
     """
     k = index(k)
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
     n_even = g.n % 2 == 0
     r = regularity(g)
     if r is None:

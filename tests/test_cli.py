@@ -259,7 +259,7 @@ class _Unwritable(io.StringIO):
 
 
 @pytest.mark.parametrize(
-    "argv", [["factor", "find", "--spec", "3", "--in", "g.g6"], ["gen", "g1", "--r", "6"]]
+    "argv", [["factor", "find", "--spec", "3", "--in", "g.g6"], ["gen", "g1", "--r", "6"], ["--help"]]
 )
 def test_closed_output_pipe_is_output_error(tmp_path, monkeypatch, capsys, argv):
     # A closed pipe and a full disk alike: stdout that cannot be written.
@@ -270,6 +270,28 @@ def test_closed_output_pipe_is_output_error(tmp_path, monkeypatch, capsys, argv)
         monkeypatch.setattr("sys.stdout", _Unwritable(error))
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: cannot write -: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["factor", "check", "--spec", "1", "--in", "missing.g6"], 2),  # input error
+        (["gen", "g1", "--r", "5"], 2),  # usage error reported by factorkit
+        (["factor", "check", "--in", "missing.g6"], 2),  # usage error reported by argparse
+        (["verify", "gallai", "--k", "3", "--in", "g.g6"], 4),  # internal error
+    ],
+    ids=["input", "usage", "argparse-usage", "internal"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, monkeypatch, capsys, argv, code):
+    # A full disk under stderr loses the error line, never the exit code:
+    # exit 1 would read as a valid "no factor".
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "g1", "--r", "6", "--out", "g.g6"]) == 0
+    if code == 4:
+        monkeypatch.setattr("factorkit.cli.gallai_check", _internal_fault)
+    monkeypatch.setattr("sys.stderr", _Unwritable(OSError(errno.ENOSPC, "No space left on device")))
+    assert run(argv) == code
+    assert capsys.readouterr().out == ""
 
 
 def test_factor_malformed_input(tmp_path, capsys):
@@ -376,9 +398,11 @@ def test_verify_gallai_requires_k(tmp_path, capsys):
         (["verify", "no-factor", "--k", "1", "--hubs", "2_1", "--in", "{g1}"], "bad hub list '2_1'"),
         (["verify", "no-factor", "--k", "1", "--hubs", "22", "--in", "{g1}"], "hub 22 is not a vertex"),
         (["gen", "g1", "--r", "6", "--out", "{tmp}/missing/g1.g6"], "cannot write {tmp}/missing/g1.g6"),
+        (["verify", "gallai", "--k", "-1", "--in", "{g1}"], "need k >= 0, got k=-1"),
     ],
     ids=["spec-letter", "spec-arabic-indic-digit", "spec-underscore", "kr-above-r", "no-factor-without-k",
-         "no-factor-without-hubs", "hubs-letter", "hubs-underscore", "hub-outside-graph", "out-missing-dir"],
+         "no-factor-without-hubs", "hubs-letter", "hubs-underscore", "hub-outside-graph", "out-missing-dir",
+         "gallai-negative-k"],
 )
 def test_input_error_is_one_error_line(g1_path, tmp_path, capsys, argv, message):
     fill = {"g1": g1_path, "tmp": str(tmp_path)}

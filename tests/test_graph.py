@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -145,6 +146,10 @@ def test_edge_connectivity_known_values():
     assert edge_connectivity(from_edges(2, [(0, 1)])) == 1
     disconnected = from_edges(4, [(0, 1), (2, 3)])
     assert edge_connectivity(disconnected) == 0
+    # No connectivity pass runs first: a flow of 0 or a minimum degree of 0
+    # must give the answer.
+    assert edge_connectivity(from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])) == 0
+    assert edge_connectivity(from_edges(4, [(0, 1), (1, 2), (0, 2)])) == 0
     with pytest.raises(ValueError):
         edge_connectivity(Graph(1, ()))
 
@@ -219,9 +224,9 @@ def flow_sources(monkeypatch):
     flows = []
     unit_max_flow = graph_module._unit_max_flow
 
-    def recording(head, arcs_of, source, t, cutoff):
+    def recording(head, arcs_of, residual, source, t, cutoff):
         flows.append(([v for v, on in enumerate(source) if on], t))
-        return unit_max_flow(head, arcs_of, source, t, cutoff)
+        return unit_max_flow(head, arcs_of, residual, source, t, cutoff)
 
     monkeypatch.setattr(graph_module, "_unit_max_flow", recording)
     return flows
@@ -318,6 +323,83 @@ def test_edge_connectivity_sources_grow_by_each_sink(flow_sources):
         assert len(set(dominating)) == len(dominating)
         covered = set(dominating).union(*(g.neighbors(v) for v in dominating))
         assert covered == set(range(g.n))
+
+
+def _arcs(g):
+    """The flow's arc layout: arcs 2i (u -> v) and 2i+1 (v -> u) for edge i =
+    (u, v), and each vertex's outgoing arcs in neighbour order."""
+    head = [w for u, v in g.edges for w in (v, u)]
+    arcs_of = [[] for _ in range(g.n)]
+    for a in range(len(head)):
+        arcs_of[head[a ^ 1]].append(a)
+    return head, arcs_of
+
+
+def _networkx_flow_value(g, sources, t):
+    """Max flow from a super-source joined to every source by an arc of
+    unbounded capacity, over unit arcs both ways along each edge."""
+    nx = pytest.importorskip("networkx")
+    D = nx.DiGraph()
+    D.add_nodes_from(range(g.n + 1))
+    for u, v in g.edges:
+        D.add_edge(u, v, capacity=1)
+        D.add_edge(v, u, capacity=1)
+    D.add_edges_from((g.n, s) for s in sources)
+    return nx.maximum_flow_value(D, g.n, t)
+
+
+def _check_unit_max_flow(g, sources, t):
+    head, arcs_of = _arcs(g)
+    residual = [1] * len(head)
+    source = [v in sources for v in range(g.n)]
+    value = _networkx_flow_value(g, sources, t)
+    for cutoff in sorted({max(value - 1, 0), value, value + 1}):
+        assert graph_module._unit_max_flow(head, arcs_of, residual, source, t, cutoff) == min(value, cutoff)
+        assert residual == [1] * len(head)
+    return value
+
+
+class _ReadCounting(list):
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+def test_unit_max_flow_retreats_from_dead_ends():
+    # s = 0 reaches t = 5 through x = 1 and y = 2, then a = 3 and b = 4; x
+    # only has a. The first walk takes s-x-a-t. In the same phase the next
+    # walk finds x and then a saturated, and must back out of both to reach
+    # s-y-b-t.
+    g = from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)])
+    assert _check_unit_max_flow(g, {0}, 5) == 2
+    # Each BFS reads s's mask entry once when it reaches s, and the BFS after
+    # the blocking flow does not reach it: both paths come from one phase.
+    source = _ReadCounting([True] + [False] * 5)
+    head, arcs_of = _arcs(g)
+    assert graph_module._unit_max_flow(head, arcs_of, [1] * len(head), source, 5, 3) == 2
+    assert source.reads[0] == 1
+    # Every source beyond a bridge: nothing reaches t, at any cutoff.
+    g = from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    assert _check_unit_max_flow(g, {0, 2}, 4) == 0
+
+
+def test_unit_max_flow_matches_networkx():
+    # Random graphs, source sets and sinks, each cut off below, at and above
+    # its true value. Sources may neighbour t or each other.
+    rng = random.Random(8128)
+    values = set()
+    for _ in range(150):
+        n = rng.randint(2, 24)
+        g = random_graph(n, rng.randint(0, min(4 * n, n * (n - 1) // 2)), rng)
+        t = rng.randrange(n)
+        others = [v for v in range(n) if v != t]
+        sources = set(rng.sample(others, rng.randint(1, min(4, len(others)))))
+        values.add(_check_unit_max_flow(g, sources, t))
+    assert {0, 1, 2, 3} <= values
 
 
 def test_articulation_points_match_brute_force():

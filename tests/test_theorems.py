@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from factorkit import theorems
 from factorkit.constructions import build_g1, build_g2
-from factorkit.generators import circulant_graph, complete_graph, cycle_graph
+from factorkit.generators import circulant_graph, complete_graph, cycle_graph, path_graph
 from factorkit.graph import Graph
 from factorkit.solver import INCONCLUSIVE, METHOD_BUDGET, Decision, FactorSpec, h_factor_decide
 from factorkit.theorems import (
@@ -55,6 +56,14 @@ def test_gallai_even_k_not_applicable():
     assert not report.applicable and report.reason == "degree r is odd"
     with pytest.raises(TypeError):
         gallai_check(cycle_graph(8), 1.0)
+
+
+def test_gallai_negative_k_is_an_error(monkeypatch):
+    # Rejected before any hypothesis is checked: edge connectivity never runs.
+    monkeypatch.setattr(theorems, "edge_connectivity", None)
+    for g in (cycle_graph(8), complete_graph(6), path_graph(4)):
+        with pytest.raises(ValueError, match="need k >= 0, got k=-1"):
+            gallai_check(g, -1)
 
 
 def test_gallai_crosscheck_on_applicable_instances():
