@@ -1,7 +1,9 @@
 """Simple undirected graphs on dense integer vertex ids.
 
-Graph values are immutable after construction and safe to share between
-threads; every operation in this module is a pure function of its inputs.
+Graph values are immutable after construction and every operation in this
+module is a pure function of its inputs. A graph fills in its components and
+block-cut tree on first use and keeps them; values stay safe to share between
+threads, as two threads that race to fill one only store equal values.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import heapq
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -85,6 +88,47 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """connected_components(self), computed once and kept apart from the
+        block-cut tree, which a decision settled by parity never builds."""
+        return tuple(map(tuple, connected_components(self)))
+
+    @cached_property
+    def _block_tree(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """(blocks, order, attach, pieces), computed once. blocks are sorted
+        vertex tuples. Each component is rooted at its largest block, the
+        lowest index among equals; breadth first from the roots, every other
+        block i hangs from cut vertex attach[i] (-1 at a root), and order
+        lists each block before the blocks below it, whatever order the
+        blocks are listed in. pieces[i] is (piece id, the graph block i
+        induces, whose vertex j is blocks[i][j]): blocks that induce equal
+        graphs share one piece. A block spanning the graph is the graph, held
+        as None: a graph in its own cache would wait for the cycle collector."""
+        blocks = [tuple(b) for b in biconnected_blocks(self)]
+        if len(blocks) == 1 and len(blocks[0]) == self.n:
+            return tuple(blocks), (0,), (-1,), ((0, None),)
+        blocks_of: list[list[int]] = [[] for _ in range(self.n)]
+        for i, block in enumerate(blocks):
+            for v in block:
+                blocks_of[v].append(i)
+        order = [min({i for v in comp for i in blocks_of[v]}, key=lambda i: (-len(blocks[i]), i))
+                 for comp in self._components if blocks_of[comp[0]]]
+        attach = [-1] * len(blocks)
+        for i in order:
+            for v in blocks[i]:
+                if v != attach[i]:
+                    for j in blocks_of[v]:
+                        if j != i:
+                            attach[j] = v
+                            order.append(j)
+        shapes: dict[tuple, tuple[int, Graph]] = {}
+        pieces = []
+        for block in blocks:
+            sub = induced_subgraph(self, block)
+            pieces.append(shapes.setdefault((sub.n, sub.edges), (len(shapes), sub)))
+        return tuple(blocks), tuple(order), tuple(attach), tuple(pieces)
+
 
 def from_edges(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from a vertex count and unordered vertex pairs."""
@@ -130,7 +174,7 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[list[int
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has at most one connected component."""
-    return len(connected_components(g)) <= 1
+    return len(g._components) <= 1
 
 
 def edge_connectivity(g: Graph) -> int:

@@ -25,12 +25,12 @@ that keeps its degree a candidate from before that fold. A block is
 decided by branch and bound: a node tries every vertex at its lowest
 candidate, then relaxes each vertex's candidates to their window, which is
 exact when no gap exceeds 1 (Cornuejols 1988), and splits the candidates of
-a vertex whose relaxed degree falls in a gap. Each block is induced (without
-re-validation) once per search, a block spanning the host is not induced at
-all, and queries are memoized by (block n, block edges, candidate degrees),
-so identical blocks share entries. The pass is flat loops, so deep
-block-cut trees need no recursion. "Not exists" only ever follows a
-provably exhausted space; running out of node budget yields "inconclusive".
+a vertex whose relaxed degree falls in a gap. The host keeps its block-cut
+tree for later decisions: each block is induced once per graph, equal blocks
+share one piece, and queries are memoized by (piece id, candidate degrees).
+The pass is flat loops, so deep block-cut trees need no recursion. "Not
+exists" only ever follows a provably exhausted space; running out of node
+budget yields "inconclusive".
 
 Even-regular hosts get even-degree factors by construction instead
 (Petersen 1891): one Euler orientation, then r/2 perfect matchings peeled
@@ -48,7 +48,7 @@ from functools import lru_cache
 from operator import index, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, biconnected_blocks, connected_components, induced_subgraph, regularity
+from .graph import Graph, regularity
 from .matching import perfect_matching
 
 EXISTS = "exists"
@@ -322,12 +322,12 @@ class _SearchState:
         if self.nodes > self.budget:
             raise _BudgetExceeded
 
-    def query(self, block: Graph, candidates: tuple[tuple[int, ...], ...]) -> list[Edge] | None:
-        """Factor edges of the block in its own labels, or None, memoized by
-        (block n, block edges, candidates), so identical blocks share entries."""
-        key = (block.n, block.edges, candidates)
+    def query(self, piece: tuple[int, Graph], candidates: tuple[tuple[int, ...], ...]) -> list[Edge] | None:
+        """Factor edges of a block-cut tree piece in its own labels, or None,
+        memoized by (piece id, candidates), so identical blocks share entries."""
+        key = (piece[0], candidates)
         if key not in self.memo:
-            self.memo[key] = _solve_by_relaxation(block, candidates, self)
+            self.memo[key] = _solve_by_relaxation(piece[1], candidates, self)
         return self.memo[key]
 
 
@@ -346,39 +346,19 @@ def _parity_impossible(candidates: Sequence[tuple[int, ...]]) -> bool:
     return not any(map(_mixed, candidates)) and sum(c[0] for c in candidates) % 2 == 1
 
 
-def _solve_blocks(
-    g: Graph, comps: list[list[int]], allowed: Sequence[tuple[int, ...]], state: _SearchState
-) -> list[Edge] | None:
+def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchState) -> list[Edge] | None:
     """Factor edges of g where each vertex v ends with degree in allowed[v],
-    or None if impossible. Each component is rooted at its largest block.
-    Leaves first, every other block is queried once per degree the vertex it
-    hangs from can take in it, and those degrees are folded into that
-    vertex's candidates; the root is queried once. Top down, each vertex
-    unfolds its child blocks in reverse, each at the least degree that
-    keeps its total a candidate from before that child's fold."""
-    if any(_parity_impossible(tuple(allowed[v] for v in comp)) for comp in comps):
+    or None if impossible, over g's block-cut tree. Leaves first, every
+    block but a root is queried once per degree the vertex it hangs from can
+    take in it, and those degrees are folded into that vertex's candidates;
+    a root is queried once. Top down, each vertex unfolds its child blocks
+    in reverse, each at the least degree that keeps its total a candidate
+    from before that child's fold."""
+    if any(_parity_impossible(tuple(allowed[v] for v in comp)) for comp in g._components):
         return None
-    blocks = biconnected_blocks(g)
-    if len(blocks) == 1 and len(blocks[0]) == g.n:
-        return state.query(g, tuple(allowed))
-    blocks_of: list[list[int]] = [[] for _ in range(g.n)]
-    for i, block in enumerate(blocks):
-        for v in block:
-            blocks_of[v].append(i)
-    # Each component's root is its largest block, the lowest index among equals;
-    # an isolated vertex, whose allowed holds 0, lies in no block.
-    order = [min({i for v in comp for i in blocks_of[v]}, key=lambda i: (-len(blocks[i]), i))
-             for comp in comps if blocks_of[comp[0]]]
-    # Breadth first from the roots: every block but the root holding v hangs
-    # from v, so order lists each block before the blocks below it.
-    attach = [-1] * len(blocks)
-    for i in order:
-        for v in blocks[i]:
-            if v != attach[i]:
-                for j in blocks_of[v]:
-                    if j != i:
-                        attach[j] = v
-                        order.append(j)
+    blocks, order, attach, pieces = g._block_tree
+    if pieces and pieces[0][1] is None:  # one block spans g
+        return state.query((0, g), tuple(allowed))
     # by_degree[i]: attachment's degree in block i -> block edges in its labels;
     # folds[v]: (child block, v's candidates before folding it in), in order.
     allowed = list(allowed)
@@ -386,14 +366,14 @@ def _solve_blocks(
     folds: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.n)]
     chosen: list[list[Edge] | None] = [None] * len(blocks)
     for i in reversed(order):
-        block, v = blocks[i], attach[i]
-        sub = induced_subgraph(g, block)
+        block, v, piece = blocks[i], attach[i], pieces[i]
+        sub = piece[1]
         candidates = [allowed[u] if u == v else allowed[u][:bisect_right(allowed[u], sub.degree(j))]
                       for j, u in enumerate(block)]
         if not all(candidates):
             return None
         if v == -1:
-            chosen[i] = state.query(sub, tuple(candidates))
+            chosen[i] = state.query(piece, tuple(candidates))
             if chosen[i] is None:
                 return None
             continue
@@ -401,7 +381,7 @@ def _solve_blocks(
         for s in range(min(sub.degree(c), allowed[v][-1]) + 1):
             candidates[c] = (s,)
             state.charge()
-            edges = state.query(sub, tuple(candidates))
+            edges = state.query(piece, tuple(candidates))
             if edges is not None:
                 by_degree[i][s] = edges
         folds[v].append((i, allowed[v]))
@@ -472,9 +452,8 @@ def h_factor_decide(
     budget = index(budget)
     if budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {budget}")
-    comps = connected_components(g)
     # Handshake: a component of odd order cannot have all degrees odd.
-    if spec.all_odd() and any(len(comp) % 2 == 1 for comp in comps):
+    if spec.all_odd() and any(len(comp) % 2 == 1 for comp in g._components):
         return Decision(NOT_EXISTS, METHOD_PARITY, None, 0)
     clipped = {d: tuple(a for a in spec.allowed if a <= d) for d in set(g.degrees())}
     allowed = [clipped[d] for d in g.degrees()]
@@ -482,7 +461,7 @@ def h_factor_decide(
         return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, 0)
     state = _SearchState(budget)
     try:
-        edges = _solve_blocks(g, comps, allowed, state)
+        edges = _solve_blocks(g, allowed, state)
     except _BudgetExceeded:
         return Decision(INCONCLUSIVE, METHOD_BUDGET, None, state.nodes)
     if edges is None:

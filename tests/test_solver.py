@@ -1,12 +1,17 @@
 import functools
+import gc
 import hashlib
 import inspect
 import itertools
+import pickle
 import random
 import sys
+import threading
+import weakref
 
 import pytest
 
+import factorkit.graph as graph_module
 from factorkit import solver
 from factorkit.constructions import build_g1, build_g2
 from factorkit.generators import (
@@ -34,6 +39,7 @@ from factorkit.solver import (
     subgraph_degrees,
     verify_factor,
 )
+from factorkit.theorems import verify_theorem2
 
 from oracles import (
     all_graphs,
@@ -506,9 +512,10 @@ def test_block_tree_decisions_pinned():
 
 
 def _spy_on_decomposition(monkeypatch):
-    """Record each block decomposition and each induced vertex set the solver asks for."""
+    """Record each block decomposition and each induced vertex set that a
+    graph's block-cut tree asks for."""
     calls: dict[str, list] = {"blocks": [], "induced": []}
-    real_blocks, real_induced = solver.biconnected_blocks, solver.induced_subgraph
+    real_blocks, real_induced = graph_module.biconnected_blocks, graph_module.induced_subgraph
 
     def blocks(g):
         calls["blocks"].append((g.n, g.edges))
@@ -519,25 +526,40 @@ def _spy_on_decomposition(monkeypatch):
         calls["induced"].append((g.n, g.edges, vertices))
         return real_induced(g, vertices)
 
-    monkeypatch.setattr(solver, "biconnected_blocks", blocks)
-    monkeypatch.setattr(solver, "induced_subgraph", induced)
+    monkeypatch.setattr(graph_module, "biconnected_blocks", blocks)
+    monkeypatch.setattr(graph_module, "induced_subgraph", induced)
     return calls
+
+
+def _piece_ids(g):
+    return {p for p, _ in g._block_tree[3]}
 
 
 def test_one_decomposition_induces_each_block_once(monkeypatch):
     # G1(14) is seven blocks that share the hub: one decomposition per
-    # decision, and each block induced once per search rather than once per
-    # query, so there are more queries than inductions.
+    # graph, and each block induced once rather than once per query, so
+    # there are more queries than inductions. The graph keeps its block-cut
+    # tree, so a second decision and Theorem 2 on it decompose nothing.
     calls = _spy_on_decomposition(monkeypatch)
-    dec = h_factor_decide(build_g1(14).graph, FactorSpec.of(1, 13))
+    g = build_g1(14).graph
+    dec = h_factor_decide(g, FactorSpec.of(1, 13))
     assert dec.verdict == NOT_EXISTS and dec.nodes_explored > len(calls["induced"])
     assert len(calls["blocks"]) == 1
     assert len(calls["induced"]) == len(set(calls["induced"])) == 7
+    assert h_factor_decide(g, FactorSpec.of(1, 13)) == dec
+    assert verify_theorem2(g) is True
+    assert len(calls["blocks"]) == 1 and len(calls["induced"]) == 7
+    # Equal blocks share one piece: G1(14)'s seven blocks are one shape and
+    # G2(12)'s eleven blocks are two.
+    assert len(_piece_ids(g)) == 1
+    g2 = build_g2(12).graph
+    assert (len(g2._block_tree[0]), len(_piece_ids(g2))) == (11, 2)
 
 
 def test_long_path_is_one_pass(monkeypatch):
     # P_3200 is 3,199 blocks in one chain: each is induced once, and each but
-    # the root is queried once per degree its attachment can take in it.
+    # the root is queried once per degree its attachment can take in it. The
+    # blocks are all one edge, one piece, and a second decision reuses them.
     calls = _spy_on_decomposition(monkeypatch)
     g = path_graph(3200)
     spec = FactorSpec.of(1, 2)
@@ -545,13 +567,19 @@ def test_long_path_is_one_pass(monkeypatch):
     assert dec.exists and verify_factor(g, dec.certificate, spec)
     assert dec.nodes_explored <= 2 * g.n
     assert len(calls["blocks"]) == 1 and len(calls["induced"]) <= g.n - 1
+    assert len(_piece_ids(g)) == 1
+    induced = len(calls["induced"])
+    assert h_factor_decide(g, FactorSpec.of(1)).exists
+    assert len(calls["blocks"]) == 1 and len(calls["induced"]) == induced
 
 
 def test_search_does_not_depend_on_block_order(monkeypatch):
     # Each component's root and its blocks' attachments come from the blocks
     # themselves, not from their place in the decomposition's list, so a
     # shuffled list gives the same verdicts. Node counts and certificates may
-    # differ: child blocks fold into their cut vertex in another order.
+    # differ: child blocks fold into their cut vertex in another order. The
+    # shuffled round decides fresh copies, which build their own block-cut
+    # trees from the shuffled lists instead of reusing the first round's.
     cases = [(build(r).graph, FactorSpec.complementary(k, r))
              for build, degrees in ((build_g1, (6, 10, 14)), (build_g2, (8, 12)))
              for r in degrees for k in range(r // 2 + 1)]
@@ -561,18 +589,74 @@ def test_search_does_not_depend_on_block_order(monkeypatch):
         g = random_graph(n, rng.randint(n // 2, min(2 * n, n * (n - 1) // 2)), rng)
         cases += [(g, FactorSpec.of(*s)) for s in ((1,), (1, 3), (1, 2), (0, 2))]
     verdicts = [h_factor_decide(g, spec).verdict for g, spec in cases]
-    real_blocks = solver.biconnected_blocks
+    real_blocks = graph_module.biconnected_blocks
+    shuffled = set()
 
     def shuffled_blocks(g):
         blocks = real_blocks(g)
         rng.shuffle(blocks)
+        shuffled.add((g.n, g.edges))
         return blocks
 
-    monkeypatch.setattr(solver, "biconnected_blocks", shuffled_blocks)
+    monkeypatch.setattr(graph_module, "biconnected_blocks", shuffled_blocks)
     for (g, spec), verdict in zip(cases, verdicts):
-        dec = h_factor_decide(g, spec)
+        fresh = Graph(g.n, g.edges)
+        dec = h_factor_decide(fresh, spec)
         assert dec.verdict == verdict, (g.n, g.edges, spec.allowed)
         assert not dec.exists or verify_factor(g, dec.certificate, spec)
+    # Every graph has a spec ({0, r} or {0, 2}) that gets past the parity and
+    # clipping exits to the block search.
+    assert shuffled == {(g.n, g.edges) for g, _ in cases}
+
+
+def test_threads_share_one_lazily_decomposed_graph():
+    # A graph fills its block-cut tree on first use. Four threads deciding on
+    # one fresh G1(10) at once agree with a sequential run on another fresh
+    # copy, and the filled graph still equals, hashes, prints and pickles as
+    # the value it was.
+    specs = [FactorSpec.complementary(k, 10) for k in (1, 2, 3, 4)]
+    g = build_g1(10).graph
+    copy = Graph(g.n, g.edges)
+    expected = [h_factor_decide(copy, spec) for spec in specs]
+    barrier = threading.Barrier(len(specs))
+    results: list = [None] * len(specs)
+
+    def decide(i):
+        barrier.wait(timeout=60)
+        results[i] = h_factor_decide(g, specs[i])
+
+    threads = [threading.Thread(target=decide, args=(i,)) for i in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+    assert "_block_tree" in vars(g)
+    assert g == copy and hash(g) == hash(copy) and repr(g) == repr(copy)
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_decided_graph_is_freed_by_its_last_reference():
+    # The block-cut tree a graph keeps does not refer back to the graph, so
+    # dropping the graph frees it at once, with the cycle collector off.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build in (lambda: circulant_graph(12, (1, 2)), lambda: build_g1(6).graph):
+            g = build()
+            assert h_factor_decide(g, FactorSpec.of(0, 2)).exists
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_memo_tells_equal_sized_pieces_apart():
