@@ -37,6 +37,7 @@ from .solver import (
     decompose_two_factors,
     even_k_factor,
     f_factor_decide,
+    factor_decide,
     h_factor_decide,
     verify_factor,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "encode_graph6",
     "even_k_factor",
     "f_factor_decide",
+    "factor_decide",
     "from_dimacs",
     "from_edge_list",
     "from_edges",

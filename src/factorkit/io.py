@@ -78,7 +78,9 @@ def decode_graph6(data: bytes | str) -> Graph:
             start += j
             j += 1
         edges.append((k - start, j))
-    return Graph(n, tuple(edges))
+    # Bits give 0 <= i < j < n once each: sorted, the pairs are canonical.
+    edges.sort()
+    return Graph._canonical(n, tuple(edges))
 
 
 def to_dimacs(g: Graph) -> str:

@@ -1,36 +1,38 @@
 """Exact decision procedures for degree-constrained spanning subgraphs.
 
-A factor query asks for a spanning subgraph whose vertex degrees all lie in
-a prescribed set of allowed values. Per-vertex degree windows lo..hi reduce
-to perfect matching through Tutte's vertex gadget (Lovasz 1972), on the
-smaller side: vertex v of degree d gets hi copies that take used edges when
-lo + hi < d, else d - lo cores that take unused ones, plus hi - lo slack
-vertices, and the expanded graph has a perfect matching iff the original
-graph has a factor in the windows. Exact targets (windows f..f) first try a
-greedy factor of the host, lifting each short vertex in turn along an
-alternating path of length 3, and build the gadget only when one stays
-short. Each edge endpoint lists its own vertex's gadget before its partner,
-so the matcher's greedy seed is a greedy factor too (Magun 1998).
+A factor query asks for a spanning subgraph in which each vertex's degree
+lies in its own set of allowed values. factor_decide is the one entry, and
+h_factor_decide (one set everywhere) and f_factor_decide (one degree each)
+call it: it clips each set to its vertex's degree, checks the handshake per
+component, then searches. Per-vertex degree windows lo..hi reduce to perfect
+matching through Tutte's vertex gadget (Lovasz 1972), on the smaller side:
+vertex v of degree d gets hi copies that take used edges when lo + hi < d,
+else d - lo cores that take unused ones, plus hi - lo slack vertices, and
+the expanded graph has a perfect matching iff the original graph has a
+factor in the windows. Exact targets (windows f..f) first try a greedy
+factor of the host, lifting each short vertex in turn along an alternating
+path of length 3, and build the gadget only when one stays short. Each edge
+endpoint lists its own vertex's gadget before its partner, so the matcher's
+greedy seed is a greedy factor too (Magun 1998).
 
-Degree-set queries search over per-vertex candidate degrees on top of that
-engine. The search runs one pass over one block decomposition (Hopcroft and
-Tarjan 1973), which is what makes hub-and-blocks families tractable: each
-component is rooted at its largest block, and every other block keeps the
-cut vertex it hangs from. Leaves first, each such block is queried once per
-degree s that vertex can take in it, and the feasible s are folded into the
-vertex's candidates (each candidate a becomes a - s), which the blocks
-beside and above it then see; the root is queried once. Top down, each
-vertex undoes its folds in reverse, giving each child block the least s
-that keeps its degree a candidate from before that fold. A block is
-decided by branch and bound: a node tries every vertex at its lowest
-candidate, then relaxes each vertex's candidates to their window, which is
-exact when no gap exceeds 1 (Cornuejols 1988), and splits the candidates of
-a vertex whose relaxed degree falls in a gap. The host keeps its block-cut
-tree for later decisions: each block is induced once per graph, equal blocks
-share one piece, and queries are memoized by (piece id, candidate degrees).
-The pass is flat loops, so deep block-cut trees need no recursion. "Not
-exists" only ever follows a provably exhausted space; running out of node
-budget yields "inconclusive".
+The search runs over per-vertex candidate degrees on top of that engine, in
+one pass over one block decomposition (Hopcroft and Tarjan 1973), which is
+what makes hub-and-blocks families tractable: each component is rooted at
+its largest block, and every other block keeps the cut vertex it hangs from.
+Leaves first, each such block is queried once per degree s that vertex can
+take in it, and the feasible s are folded into the vertex's candidates (each
+candidate a becomes a - s), which the blocks beside and above it then see;
+the root is queried once. Top down, each vertex undoes its folds in reverse,
+giving each child block the least s that keeps its degree a candidate from
+before that fold. A block is decided by branch and bound: a node tries every
+vertex at its lowest candidate, then relaxes each vertex's candidates to
+their window, which is exact when no gap exceeds 1 (Cornuejols 1988), and
+splits the candidates of a vertex whose relaxed degree falls in a gap. The
+host keeps its block-cut tree for later decisions: each block is induced
+once per graph, equal blocks share one piece, and queries are memoized by
+(piece id, candidate degrees). The pass is flat loops, so deep block-cut
+trees need no recursion. "Not exists" only ever follows a provably exhausted
+space; running out of node budget yields "inconclusive".
 
 Even-regular hosts get even-degree factors by construction instead
 (Petersen 1891): one Euler orientation, then r/2 perfect matchings peeled
@@ -45,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index, lt
+from operator import contains, index, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, regularity
@@ -156,19 +158,20 @@ def verify_factor(g: Graph, certificate: Iterable[Sequence[int]], spec: FactorSp
 
     Raises ValueError if the certificate references an edge not in the host.
     """
-    return _is_factor(g, normalize_edges(certificate), spec, ValueError)
+    return _is_factor(g, normalize_edges(certificate), [spec.allowed] * g.n, ValueError)
 
 
-def _is_factor(g: Graph, edges: tuple[Edge, ...], spec: FactorSpec, error: Callable[[str], Exception]) -> bool:
-    """Whether every degree of `edges` lies in spec; raises error(why) naming
-    the least edge not in g, or if `edges` is not strictly increasing."""
+def _is_factor(g: Graph, edges: tuple[Edge, ...], allowed: Sequence[tuple[int, ...]],
+               error: Callable[[str], Exception]) -> bool:
+    """Whether each v has its degree under `edges` in allowed[v]; raises error(why)
+    naming the least edge not in g, or if `edges` is not strictly increasing."""
     host = g.edge_set()
     if not host.issuperset(edges):
         bad = next(e for e in edges if e not in host)
         raise error(f"certificate edge {bad} is not an edge of the host graph")
     if not all(map(lt, edges, edges[1:])):
         raise error("certificate edges are not strictly increasing")
-    return set(subgraph_degrees(g.n, edges)) <= set(spec.allowed)
+    return all(map(contains, allowed, subgraph_degrees(g.n, edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +282,6 @@ def _gadget_factor_edges(
     )
 
 
-def f_factor_decide(g: Graph, targets: Sequence[int]) -> Decision:
-    """Exact decision: is there a spanning subgraph with degree targets[v]
-    at every vertex? Exists carries the edge set; the reduction is exact,
-    not heuristic."""
-    targets = list(map(index, targets))
-    if len(targets) != g.n:
-        raise ValueError(f"expected {g.n} degree targets, got {len(targets)}")
-    for v, t in enumerate(targets):
-        if t < 0:
-            raise ValueError(f"negative degree target at vertex {v}")
-        if t > g.degree(v):
-            raise ValueError(
-                f"degree target {t} at vertex {v} exceeds its degree {g.degree(v)}"
-            )
-    if sum(targets) % 2 == 1:
-        return Decision(NOT_EXISTS, METHOD_PARITY, None, 1)
-    edges = _prescribed_factor_edges(g, targets)
-    if edges is None:
-        return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, 1)
-    return Decision(EXISTS, METHOD_SEARCH, edges, 1)
-
-
 # ---------------------------------------------------------------------------
 # Degree-set decision: decomposition search over per-vertex assignments
 
@@ -340,9 +321,9 @@ def _mixed(values: tuple[int, ...]) -> bool:
 
 def _parity_impossible(candidates: Sequence[tuple[int, ...]]) -> bool:
     """True when no vertex has candidates of both parities and the lowest
-    ones sum to odd, by handshake. Every tuple is nonempty: h_factor_decide
-    rejects empty clipped sets, _solve_blocks queries no block with one, and
-    a split's hull degree lies strictly inside the window."""
+    ones sum to odd, by handshake. Every tuple is nonempty: factor_decide
+    rejects empty clipped sets first, _solve_blocks queries no block with
+    one, and a split's hull degree lies strictly inside the window."""
     return not any(map(_mixed, candidates)) and sum(c[0] for c in candidates) % 2 == 1
 
 
@@ -354,8 +335,6 @@ def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchSt
     a root is queried once. Top down, each vertex unfolds its child blocks
     in reverse, each at the least degree that keeps its total a candidate
     from before that child's fold."""
-    if any(_parity_impossible(tuple(allowed[v] for v in comp)) for comp in g._components):
-        return None
     blocks, order, attach, pieces = g._block_tree
     if pieces and pieces[0][1] is None:  # one block spans g
         return state.query((0, g), tuple(allowed))
@@ -440,36 +419,58 @@ def _solve_by_relaxation(
     return None
 
 
-def h_factor_decide(
-    g: Graph, spec: FactorSpec, budget: int = DEFAULT_NODE_BUDGET
-) -> Decision:
-    """Exact decision: does g have a spanning subgraph with every vertex
-    degree in spec? The search space is the set of per-vertex assignments
-    drawn from spec, pruned by parity, the block-cut tree and relaxation;
-    NotExists means that space was provably exhausted. The budget counts
-    each branch and bound node and each query of a non-root block; a
-    negative budget is a ValueError, a non-integral one a TypeError."""
+def factor_decide(g: Graph, allowed: Sequence[FactorSpec], budget: int = DEFAULT_NODE_BUDGET) -> Decision:
+    """Exact decision: does g have a spanning subgraph with each vertex v's
+    degree in allowed[v]? The search space is the per-vertex assignments
+    from the sets clipped to each degree, pruned by parity, the block-cut
+    tree and relaxation; NotExists means it was provably exhausted, by
+    "parity" when the sets as given fail the handshake on a component. The
+    budget counts each branch and bound node and each query of a non-root
+    block; a length other than g.n or a negative budget is a ValueError, a
+    non-integral budget a TypeError."""
     budget = index(budget)
     if budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {budget}")
-    # Handshake: a component of odd order cannot have all degrees odd.
-    if spec.all_odd() and any(len(comp) % 2 == 1 for comp in g._components):
-        return Decision(NOT_EXISTS, METHOD_PARITY, None, 0)
-    clipped = {d: tuple(a for a in spec.allowed if a <= d) for d in set(g.degrees())}
-    allowed = [clipped[d] for d in g.degrees()]
-    if not all(allowed):
-        return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, 0)
+    if len(allowed) != g.n:
+        raise ValueError(f"expected {g.n} degree sets, got {len(allowed)}")
+    sets = [spec.allowed for spec in allowed]
+    clipped = [a[:bisect_right(a, d)] for a, d in zip(sets, g.degrees())]
+    if not all(clipped) or any(_parity_impossible([clipped[v] for v in comp]) for comp in g._components):
+        parity = any(_parity_impossible([sets[v] for v in comp]) for comp in g._components)
+        return Decision(NOT_EXISTS, METHOD_PARITY if parity else METHOD_EXHAUSTED, None, 0)
     state = _SearchState(budget)
     try:
-        edges = _solve_blocks(g, allowed, state)
+        edges = _solve_blocks(g, clipped, state)
     except _BudgetExceeded:
         return Decision(INCONCLUSIVE, METHOD_BUDGET, None, state.nodes)
     if edges is None:
         return Decision(NOT_EXISTS, METHOD_EXHAUSTED, None, state.nodes)
     cert = tuple(sorted(edges))  # blocks partition g's edges, so each is canonical and distinct
-    if not _is_factor(g, cert, spec, lambda why: AssertionError(f"internal error: {why}")):
+    if not _is_factor(g, cert, clipped, lambda why: AssertionError(f"internal error: {why}")):
         raise AssertionError("internal error: search produced an invalid certificate")
     return Decision(EXISTS, METHOD_SEARCH, cert, state.nodes)
+
+
+def h_factor_decide(g: Graph, spec: FactorSpec, budget: int = DEFAULT_NODE_BUDGET) -> Decision:
+    """Exact decision: does g have a spanning subgraph with every vertex
+    degree in spec? factor_decide with spec at every vertex."""
+    return factor_decide(g, [spec] * g.n, budget)
+
+
+def f_factor_decide(g: Graph, targets: Sequence[int]) -> Decision:
+    """Exact decision: is there a spanning subgraph with degree targets[v]
+    at every vertex? factor_decide over the sets {targets[v]}; a target
+    outside 0..deg(v), or a length other than g.n, is a ValueError."""
+    targets = list(map(index, targets))
+    if len(targets) != g.n:
+        raise ValueError(f"expected {g.n} degree targets, got {len(targets)}")
+    for v, t in enumerate(targets):
+        if t < 0:
+            raise ValueError(f"negative degree target at vertex {v}")
+        if t > g.degree(v):
+            raise ValueError(f"degree target {t} at vertex {v} exceeds its degree {g.degree(v)}")
+    specs = {t: FactorSpec.of(t) for t in set(targets)}  # each validated once, then shared
+    return factor_decide(g, [specs[t] for t in targets])
 
 
 def brute_force_h_factor(g: Graph, spec: FactorSpec) -> Decision:

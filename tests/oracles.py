@@ -7,7 +7,9 @@ matching that pins its exact search order,
 `reference_prescribed_factor_edges`, the earlier d - f core gadget, which
 runs the solver's matching engine on a gadget of its own, and
 `reference_euler_arcs`, the earlier Euler orientation that built the vertex
-path, which pins the solver's walk order.
+path, which pins the solver's walk order. `exact_cover_exists` decides the
+exact-cover instances that `x3c_sets` draws and `x3c_graph` turns into
+factor questions.
 """
 
 from __future__ import annotations
@@ -331,3 +333,49 @@ def random_block_tree(rng, max_n: int) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
+
+
+def x3c_sets(q: int, rng) -> list[tuple[int, int, int]]:
+    """q sets of 3 distinct elements out of 0..q-1, each element in exactly
+    3 sets: the 3q stubs are shuffled into consecutive triples, redrawn until
+    no triple repeats an element. A set may occur twice."""
+    stubs = [e for e in range(q) for _ in range(3)]
+    while True:
+        rng.shuffle(stubs)
+        sets = [tuple(sorted(stubs[i:i + 3])) for i in range(0, 3 * q, 3)]
+        if all(len(set(s)) == 3 for s in sets):
+            return sets
+
+
+def exact_cover_exists(q: int, sets: Sequence[tuple[int, ...]]) -> bool:
+    """Whether some of the sets partition 0..q-1: depth first, each level
+    covers the least uncovered element by each set that fits."""
+    containing = [[s for s in sets if e in s] for e in range(q)]
+    covered = [False] * q
+
+    def search() -> bool:
+        e = next((e for e in range(q) if not covered[e]), None)
+        if e is None:
+            return True
+        for s in containing[e]:
+            if not any(covered[x] for x in s):
+                for x in s:
+                    covered[x] = True
+                if search():
+                    return True
+                for x in s:
+                    covered[x] = False
+        return False
+
+    return search()
+
+
+def x3c_graph(q: int, sets: Sequence[tuple[int, ...]], pendants: bool) -> Graph:
+    """Element e is vertex e and set i is vertex q + i, joined to its
+    elements; with pendants, set i also gets a leaf 2q + i. The sets have
+    an exact cover iff elements can take degree 1 and sets 0 or 3, which
+    with pendants is a {1,4}-factor: each leaf takes its edge."""
+    edges = [(e, q + i) for i, s in enumerate(sets) for e in s]
+    if pendants:
+        edges += [(q + i, 2 * q + i) for i in range(len(sets))]
+    return Graph((3 if pendants else 2) * q, tuple(edges))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from factorkit.constructions import build_g2
 from factorkit.generators import complete_graph, cycle_graph, random_graph
 from factorkit.graph import Graph
 from factorkit.io import (
@@ -50,6 +51,13 @@ def test_roundtrip_boundary_and_long_format():
         else:
             assert data[0] == 126
         assert decode_graph6(data) == g
+    # A family graph in the long format: the decoded edges come out sorted,
+    # and the adjacency built from them is the host's.
+    g = build_g2(12).graph
+    assert g.n > 62
+    back = decode_graph6(encode_graph6(g))
+    assert back.edges == g.edges
+    assert all(back.neighbors(v) == g.neighbors(v) for v in range(g.n))
 
 
 @pytest.mark.parametrize("n", [1000, 2000])

@@ -35,6 +35,7 @@ from factorkit.solver import (
     decompose_two_factors,
     even_k_factor,
     f_factor_decide,
+    factor_decide,
     h_factor_decide,
     subgraph_degrees,
     verify_factor,
@@ -43,12 +44,15 @@ from factorkit.theorems import verify_theorem2
 
 from oracles import (
     all_graphs,
+    exact_cover_exists,
     petersen,
     random_block_tree,
     random_even_graph,
     reference_euler_arcs,
     reference_prescribed_factor_edges,
     two_hub,
+    x3c_graph,
+    x3c_sets,
 )
 
 
@@ -129,6 +133,70 @@ def test_f_factor_validates_targets():
 def test_f_factor_odd_sum_is_parity():
     dec = f_factor_decide(cycle_graph(4), [1, 1, 1, 0])
     assert dec.verdict == NOT_EXISTS and dec.method == "parity"
+
+
+def test_f_factor_is_h_factor_with_one_degree():
+    # Exact targets k at every vertex are the spec {k}: the same search, so
+    # the same verdict, method, certificate and node count, on every graph
+    # with at most 5 vertices and on block trees with deep cut structure.
+    rng = random.Random(1972)
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs += [random_block_tree(rng, 30) for _ in range(100)]
+    compared = 0
+    for g in graphs:
+        for k in range(min(g.degrees()) + 1):
+            assert f_factor_decide(g, [k] * g.n) == h_factor_decide(g, FactorSpec.of(k)), (g.edges, k)
+            compared += 1
+    assert compared > 1_500
+
+
+def test_factor_decide_validates_arguments():
+    g = path_graph(3)
+    allowed = [FactorSpec.of(1), FactorSpec.of(0, 2), FactorSpec.of(1)]
+    assert factor_decide(g, allowed).exists
+    with pytest.raises(ValueError, match="expected 3 degree sets, got 2"):
+        factor_decide(g, allowed[:2])
+    with pytest.raises(ValueError, match="budget"):
+        factor_decide(g, allowed, budget=-1)
+    with pytest.raises(TypeError):
+        factor_decide(g, allowed, budget=2.5)
+
+
+def test_factor_decide_labels_parity_by_the_unclipped_sets():
+    # P_3 under {1} everywhere fails the handshake as given: parity.
+    one = FactorSpec.of(1)
+    dec = factor_decide(path_graph(3), [one] * 3)
+    assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "parity", 0)
+    # {3} at P_3's middle clips to nothing, but 1 + 3 + 1 is already odd.
+    dec = factor_decide(path_graph(3), [one, FactorSpec.of(3), one])
+    assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "parity", 0)
+    # {1,2} clips to {1} on one edge, so 1 + 0 is odd only after clipping.
+    dec = factor_decide(path_graph(2), [FactorSpec.of(1, 2), FactorSpec.of(0)])
+    assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "exhausted-assignments", 0)
+    # The handshake holds per component: a triangle beside an edge.
+    g = Graph(5, ((0, 1), (1, 2), (0, 2), (3, 4)))
+    dec = factor_decide(g, [FactorSpec.of(1, 2)] * 3 + [one] * 2)
+    assert dec.exists and subgraph_degrees(5, dec.certificate)[3:] == [1, 1]
+    dec = factor_decide(g, [one] * 5)
+    assert (dec.verdict, dec.method) == (NOT_EXISTS, "parity")
+
+
+def test_factor_decide_against_subset_enumeration():
+    # A random degree set per vertex on random graphs with at most 10 edges.
+    rng = random.Random(1988)
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        g = random_graph(n, rng.randint(0, min(10, n * (n - 1) // 2)), rng)
+        allowed = [FactorSpec(tuple(rng.sample(range(5), rng.randint(1, 3)))) for _ in range(n)]
+        dec = factor_decide(g, allowed)
+        fits = lambda edges: all(d in a for d, a in zip(subgraph_degrees(n, edges), allowed))
+        want = any(fits([g.edges[i] for i in range(g.m) if mask >> i & 1]) for mask in range(1 << g.m))
+        assert dec.exists == want, (g.edges, allowed)
+        if dec.exists:
+            assert set(dec.certificate) <= set(g.edges) and fits(dec.certificate)
+        found[want] += 1
+    assert min(found.values()) > 50
 
 
 def test_f_factor_against_subset_enumeration():
@@ -762,6 +830,33 @@ def test_atlas_census_against_brute_force(allowed):
                 assert verify_factor(g, dec.certificate, spec)
 
 
+@pytest.mark.parametrize("q", [12, 18, pytest.param(24, marks=pytest.mark.slow)])
+def test_exact_cover_corpus_against_dfs(q):
+    # Exact cover by 3-sets, each element in three sets, in two forms: with a
+    # pendant leaf per set under {1,4}, and directly with elements at {1} and
+    # sets at {0,3}. Both must answer as the exact-cover search does.
+    spec = FactorSpec.of(1, 4)
+    answers = set()
+    for seed in range(10):
+        sets = x3c_sets(q, random.Random(seed))
+        want = exact_cover_exists(q, sets)
+        answers.add(want)
+        pendant = x3c_graph(q, sets, pendants=True)
+        dec = h_factor_decide(pendant, spec)
+        assert dec.exists is want, (q, seed)
+        if dec.exists:
+            assert verify_factor(pendant, dec.certificate, spec)
+        direct = x3c_graph(q, sets, pendants=False)
+        allowed = [FactorSpec.of(1)] * q + [FactorSpec.of(0, 3)] * q
+        dec = factor_decide(direct, allowed)
+        assert dec.exists is want, (q, seed)
+        if dec.exists:
+            assert set(dec.certificate) <= set(direct.edges)
+            assert all(d in a for d, a in zip(subgraph_degrees(direct.n, dec.certificate), allowed))
+    # Every draw at q = 24 is a no-instance; the smaller q give both answers.
+    assert answers == ({False} if q == 24 else {False, True})
+
+
 def test_brute_force_examples():
     assert brute_force_h_factor(cycle_graph(4), FactorSpec.of(1)).exists
     assert not brute_force_h_factor(cycle_graph(5), FactorSpec.of(1)).exists
@@ -799,6 +894,30 @@ def test_even_k_factor_rejects_parity_violations():
         even_k_factor(complete_graph(5), 6)  # k > r
     with pytest.raises(ValueError):
         even_k_factor(Graph(3, ((0, 1),)), 0)  # not regular
+
+
+def test_odd_regular_k_factors_from_a_perfect_matching():
+    # Petersen (1891): an r-regular graph, r odd, with a perfect matching M
+    # has a k-factor for every 0 <= k <= r, namely M (odd k only) with k // 2
+    # of the 2-factors that split the (r - 1)-regular G - M.
+    rng = random.Random(1891)
+    hosts = [random_regular_graph(n, r, rng) for r in (3, 5) for n in (8, 10, 12, 14, 16)]
+    hosts += [circulant_graph(n, (*offsets, n // 2))
+              for n in (12, 16, 20) for offsets in ((1, 2, 3), (1, 3, 5), (1, 2, 3, 4), (1, 3, 4, 5))]
+    checked = 0
+    for g in hosts:
+        r = g.degree(0)
+        matching = f_factor_decide(g, [1] * g.n)
+        if not matching.exists:
+            continue
+        rest = Graph(g.n, tuple(set(g.edges) - set(matching.certificate)))
+        for k in range(r + 1):
+            factor = even_k_factor(rest, k - k % 2) + (matching.certificate if k % 2 else ())
+            assert verify_factor(g, factor, FactorSpec.of(k)), (g.edges, k)
+            assert f_factor_decide(g, [k] * g.n).exists is True
+        checked += 1
+    assert {h.degree(0) for h in hosts} == {3, 5, 7, 9}
+    assert checked >= 20
 
 
 def test_decompose_two_factors_examples():
