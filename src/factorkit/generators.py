@@ -1,25 +1,12 @@
-"""Small deterministic graph generators for corpora and cross-checks."""
+"""The graph builders the benchmark draws its corpora from: seeded uniform
+random graphs and circulants."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from .graph import Graph, is_connected, regularity
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple(itertools.combinations(range(n), 2)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+from .graph import Graph
 
 
 def circulant_graph(n: int, offsets: tuple[int, ...]) -> Graph:
@@ -37,40 +24,9 @@ def circulant_graph(n: int, offsets: tuple[int, ...]) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
-
-
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:
     """Uniform simple graph with exactly m edges."""
     pairs = list(itertools.combinations(range(n), 2))
     if m > len(pairs):
         raise ValueError(f"at most {len(pairs)} edges fit on {n} vertices")
     return Graph(n, tuple(rng.sample(pairs, m)))
-
-
-def random_regular_graph(n: int, r: int, rng: random.Random) -> Graph:
-    """Random connected simple r-regular graph via the pairing model with
-    rejection: retries until the paired stubs give a simple connected graph;
-    n * r must be even.
-    """
-    if r < 0:
-        raise ValueError(f"degree must be nonnegative, got r={r}")
-    if (n * r) % 2 == 1:
-        raise ValueError(f"no {r}-regular graph on {n} vertices: n*r is odd")
-    if r >= n:
-        raise ValueError(f"need r < n for a simple graph, got r={r}, n={n}")
-    if r < 2 and n > r + 1:
-        raise ValueError(f"no connected {r}-regular graph has {n} vertices")
-    for _ in range(10000):
-        stubs = [v for v in range(n) for _ in range(r)]
-        rng.shuffle(stubs)
-        try:  # Graph rejects a self-loop or a repeated pair
-            g = Graph(n, tuple(zip(stubs[::2], stubs[1::2])))
-        except ValueError:
-            continue
-        if not is_connected(g):
-            continue
-        assert regularity(g) == r
-        return g
-    raise RuntimeError(f"pairing model failed to produce a {r}-regular graph on {n} vertices")

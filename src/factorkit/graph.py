@@ -34,7 +34,6 @@ class Graph:
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         seen: set[tuple[int, int]] = set()
-        canonical: list[tuple[int, int]] = []
         for pair in self.edges:
             u, v = operator.index(pair[0]), operator.index(pair[1])
             if not (0 <= u < self.n) or not (0 <= v < self.n):
@@ -47,9 +46,7 @@ class Graph:
             if edge in seen:
                 raise ValueError(f"duplicate edge {edge}")
             seen.add(edge)
-            canonical.append(edge)
-        canonical.sort()
-        self._freeze(tuple(canonical))
+        self._freeze(tuple(sorted(seen)))
 
     @classmethod
     def _canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> Graph:

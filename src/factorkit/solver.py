@@ -336,8 +336,8 @@ def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchSt
     in reverse, each at the least degree that keeps its total a candidate
     from before that child's fold."""
     blocks, order, attach, pieces = g._block_tree
-    if pieces and pieces[0][1] is None:  # one block spans g
-        return state.query((0, g), tuple(allowed))
+    if pieces and pieces[0][1] is None:  # one block spans g: the decision's only query
+        return _solve_by_relaxation(g, tuple(allowed), state)
     # by_degree[i]: attachment's degree in block i -> block edges in its labels;
     # folds[v]: (child block, v's candidates before folding it in), in order.
     allowed = list(allowed)

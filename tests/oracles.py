@@ -9,17 +9,24 @@ runs the solver's matching engine on a gadget of its own, and
 `reference_euler_arcs`, the earlier Euler orientation that built the vertex
 path, which pins the solver's walk order. `exact_cover_exists` decides the
 exact-cover instances that `x3c_sets` draws and `x3c_graph` turns into
-factor questions.
+factor questions. `backtrack_factor` decides a degree set by taking or
+leaving each edge with pruning, on graphs whose 2^m edge subsets are too
+many for brute force.
+
+The corpus builders `complete_graph`, `cycle_graph`, `path_graph`,
+`complete_bipartite_graph` and `random_regular_graph` are the tests' own;
+the package keeps only the builders the benchmark runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from typing import Sequence
 
 from factorkit import solver
-from factorkit.graph import Graph
+from factorkit.graph import Graph, is_connected, regularity
 
 # Outer 5-cycle, inner pentagram, spokes.
 PETERSEN_EDGES = (
@@ -31,6 +38,51 @@ PETERSEN_EDGES = (
 
 def petersen() -> Graph:
     return Graph(10, PETERSEN_EDGES)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, tuple(itertools.combinations(range(n), 2)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
+def random_regular_graph(n: int, r: int, rng: random.Random) -> Graph:
+    """Random connected simple r-regular graph via the pairing model with
+    rejection: retries until the paired stubs give a simple connected graph;
+    n * r must be even.
+    """
+    if r < 0:
+        raise ValueError(f"degree must be nonnegative, got r={r}")
+    if (n * r) % 2 == 1:
+        raise ValueError(f"no {r}-regular graph on {n} vertices: n*r is odd")
+    if r >= n:
+        raise ValueError(f"need r < n for a simple graph, got r={r}, n={n}")
+    if r < 2 and n > r + 1:
+        raise ValueError(f"no connected {r}-regular graph has {n} vertices")
+    for _ in range(10000):
+        stubs = [v for v in range(n) for _ in range(r)]
+        rng.shuffle(stubs)
+        try:  # Graph rejects a self-loop or a repeated pair
+            g = Graph(n, tuple(zip(stubs[::2], stubs[1::2])))
+        except ValueError:
+            continue
+        if not is_connected(g):
+            continue
+        assert regularity(g) == r
+        return g
+    raise RuntimeError(f"pairing model failed to produce a {r}-regular graph on {n} vertices")
 
 
 def brute_max_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
@@ -102,12 +154,45 @@ def all_graphs(n: int):
 
 
 def all_connected_graphs(max_n: int):
-    from factorkit.graph import is_connected
-
     for n in range(1, max_n + 1):
         for g in all_graphs(n):
             if is_connected(g):
                 yield g
+
+
+def backtrack_factor(g: Graph, allowed: Sequence[int]) -> list[tuple[int, int]] | None:
+    """Edges of a spanning subgraph with every degree in allowed, or None:
+    each edge in canonical order is taken, then left out, and a branch is
+    cut as soon as an endpoint's degree so far plus its undecided edges can
+    no longer reach an allowed degree."""
+    degree = [0] * g.n
+    undecided = list(g.degrees())
+    taken = [0] * g.m
+
+    def reachable(v: int) -> bool:
+        return any(degree[v] <= a <= degree[v] + undecided[v] for a in allowed)
+
+    def search(i: int) -> bool:
+        if i == g.m:
+            return True
+        u, v = g.edges[i]
+        undecided[u] -= 1
+        undecided[v] -= 1
+        for take in (1, 0):
+            taken[i] = take
+            degree[u] += take
+            degree[v] += take
+            if reachable(u) and reachable(v) and search(i + 1):
+                return True
+            degree[u] -= take
+            degree[v] -= take
+        undecided[u] += 1
+        undecided[v] += 1
+        return False
+
+    if all(map(reachable, range(g.n))) and search(0):
+        return [e for e, take in zip(g.edges, taken) if take]
+    return None
 
 
 # The blossom matching before contraction became blossom-local, copied

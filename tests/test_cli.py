@@ -13,11 +13,11 @@ import factorkit
 from factorkit import solver
 from factorkit.cli import run
 from factorkit.constructions import build_g1
-from factorkit.generators import circulant_graph, complete_graph
+from factorkit.generators import circulant_graph
 from factorkit.io import decode_graph6, from_dimacs, write_graph
 from factorkit.solver import INCONCLUSIVE, METHOD_BUDGET, Decision
 
-from oracles import two_hub
+from oracles import complete_graph, path_graph, two_hub
 
 
 @pytest.fixture
@@ -193,8 +193,6 @@ def test_factor_batch_processes_each_line(tmp_path, capsys):
 
 
 def test_factor_batch_stops_at_the_first_input_error(tmp_path, capsys):
-    from factorkit.generators import path_graph
-
     path = write_g6(tmp_path, "batch.g6", complete_graph(4), path_graph(4))
     assert run(["factor", "check", "--kr", "1", "--in", path]) == 2
     captured = capsys.readouterr()
@@ -302,8 +300,6 @@ def test_factor_malformed_input(tmp_path, capsys):
 
 
 def test_factor_kr_on_irregular_graph(tmp_path, capsys):
-    from factorkit.generators import path_graph
-
     path = write_g6(tmp_path, "p.g6", path_graph(4))
     assert run(["factor", "check", "--kr", "1", "--in", path]) == 2
 

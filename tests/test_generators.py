@@ -2,16 +2,10 @@ import random
 
 import pytest
 
-from factorkit.generators import (
-    circulant_graph,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    random_graph,
-    random_regular_graph,
-)
+from factorkit.generators import circulant_graph, random_graph
 from factorkit.graph import is_connected, regularity
+
+from oracles import complete_bipartite_graph, complete_graph, cycle_graph, path_graph, random_regular_graph
 
 
 def test_complete_and_cycle():

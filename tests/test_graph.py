@@ -17,16 +17,17 @@ from factorkit.graph import (
     is_connected,
     regularity,
 )
-from factorkit.generators import (
-    circulant_graph,
+from factorkit.generators import circulant_graph, random_graph
+
+from oracles import (
+    brute_articulation_points,
+    brute_min_cut,
     complete_graph,
     cycle_graph,
     path_graph,
-    random_graph,
+    random_block_tree,
     random_regular_graph,
 )
-
-from oracles import brute_articulation_points, brute_min_cut, random_block_tree
 
 
 def test_from_edges_c4():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from factorkit.constructions import build_g2
-from factorkit.generators import complete_graph, cycle_graph, random_graph
+from factorkit.generators import random_graph
 from factorkit.graph import Graph
 from factorkit.io import (
     decode_graph6,
@@ -15,6 +15,8 @@ from factorkit.io import (
     to_edge_list,
     write_graph,
 )
+
+from oracles import complete_graph, cycle_graph
 
 
 def test_k4_encodes_to_hand_value():
@@ -206,6 +208,13 @@ def test_read_graphs_batch():
     assert graphs == [cycle_graph(4), complete_graph(4)]
     with pytest.raises(ValueError, match="no graph6 lines"):
         read_graphs("\n", "graph6")
+
+
+def test_unknown_format_is_named():
+    with pytest.raises(ValueError, match=r"^unknown graph format 'gml'$"):
+        write_graph(cycle_graph(4), "gml")
+    with pytest.raises(ValueError, match=r"^unknown graph format 'gml'$"):
+        read_graphs("graph [ ]\n", "gml")
 
 
 def test_graph6_matches_networkx():

@@ -14,14 +14,7 @@ import pytest
 import factorkit.graph as graph_module
 from factorkit import solver
 from factorkit.constructions import build_g1, build_g2
-from factorkit.generators import (
-    circulant_graph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    random_graph,
-    random_regular_graph,
-)
+from factorkit.generators import circulant_graph, random_graph
 from factorkit.graph import Graph, is_connected
 from factorkit.matching import maximum_matching
 from factorkit.solver import (
@@ -44,10 +37,15 @@ from factorkit.theorems import verify_theorem2
 
 from oracles import (
     all_graphs,
+    backtrack_factor,
+    complete_graph,
+    cycle_graph,
     exact_cover_exists,
+    path_graph,
     petersen,
     random_block_tree,
     random_even_graph,
+    random_regular_graph,
     reference_euler_arcs,
     reference_prescribed_factor_edges,
     two_hub,
@@ -801,33 +799,52 @@ def test_exhaustive_census_against_brute_force():
     assert decided == 34_069
 
 @functools.cache
-def _atlas_graphs() -> tuple[Graph, ...]:
-    """Every graph of the networkx atlas (all graphs on at most 7 vertices, up
-    to isomorphism) with at most 15 edges, so brute force stays cheap."""
+def _all_atlas_graphs() -> tuple[Graph, ...]:
+    """Every graph of the networkx atlas: all graphs on at most 7 vertices, up
+    to isomorphism."""
     nx = pytest.importorskip("networkx")
-    return tuple(
-        Graph(h.number_of_nodes(), tuple(h.edges()))
-        for h in nx.graph_atlas_g()
-        if h.number_of_edges() <= 15
-    )
+    return tuple(Graph(h.number_of_nodes(), tuple(h.edges())) for h in nx.graph_atlas_g())
 
 
-@pytest.mark.parametrize("allowed", [(1,), (2,), (1, 2), (1, 3), (1, 4), (1, 5), (2, 5)],
-                         ids=lambda allowed: ",".join(map(str, allowed)))
+def _atlas_graphs() -> tuple[Graph, ...]:
+    """The atlas graphs with at most 15 edges, so brute force stays cheap."""
+    return tuple(g for g in _all_atlas_graphs() if g.m <= 15)
+
+
+ATLAS_SPECS = [(1,), (2,), (1, 2), (1, 3), (1, 4), (1, 5), (2, 5)]
+
+
+@pytest.mark.parametrize("allowed", ATLAS_SPECS, ids=lambda allowed: ",".join(map(str, allowed)))
 def test_atlas_census_against_brute_force(allowed):
     # Specs with 0 are left out: the all-0 first assignment decides them at
-    # once. Gaps of 2 or more make the search branch.
+    # once. Gaps of 2 or more make the search branch. The backtracking oracle
+    # must agree with brute force here to stand in for it on denser graphs.
     spec = FactorSpec(allowed)
     graphs = _atlas_graphs()
     assert len(graphs) == 1_213
     for g in graphs:
         fast = h_factor_decide(g, spec)
         slow = brute_force_h_factor(g, spec)
+        oracle = backtrack_factor(g, allowed)
         assert fast.verdict != INCONCLUSIVE
-        assert fast.exists == slow.exists, (g.n, g.edges, spec)
-        for dec in (fast, slow):
-            if dec.exists:
-                assert verify_factor(g, dec.certificate, spec)
+        assert fast.exists == slow.exists == (oracle is not None), (g.n, g.edges, spec)
+        for certificate in (fast.certificate, slow.certificate, oracle):
+            if certificate is not None:
+                assert verify_factor(g, certificate, spec)
+
+
+@pytest.mark.parametrize("allowed", ATLAS_SPECS, ids=lambda allowed: ",".join(map(str, allowed)))
+def test_dense_atlas_census_against_backtracking(allowed):
+    # The 40 atlas graphs with 16-21 edges, where brute force would try up to
+    # 2^21 edge subsets per decision.
+    spec = FactorSpec(allowed)
+    graphs = [g for g in _all_atlas_graphs() if g.m > 15]
+    assert len(graphs) == 40
+    for g in graphs:
+        dec = h_factor_decide(g, spec)
+        assert dec.exists is (backtrack_factor(g, allowed) is not None), (g.n, g.edges, spec)
+        if dec.exists:
+            assert verify_factor(g, dec.certificate, spec)
 
 
 @pytest.mark.parametrize("q", [12, 18, pytest.param(24, marks=pytest.mark.slow)])
