@@ -33,7 +33,9 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        seen: set[tuple[int, int]] = set()
+        # A dict keeps the input order, which callers mostly give near-sorted,
+        # so the sort below runs in near-linear time; a set's order would not.
+        seen: dict[tuple[int, int], None] = {}
         for pair in self.edges:
             u, v = operator.index(pair[0]), operator.index(pair[1])
             if not (0 <= u < self.n) or not (0 <= v < self.n):
@@ -45,7 +47,7 @@ class Graph:
             edge = (u, v) if u < v else (v, u)
             if edge in seen:
                 raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
+            seen[edge] = None
         self._freeze(tuple(sorted(seen)))
 
     @classmethod
