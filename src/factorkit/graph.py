@@ -189,7 +189,8 @@ def edge_connectivity(g: Graph) -> int:
     connectivity.
 
     D is greedy by coverage: gain[v] counts v's uncovered closed neighbours
-    and drops as they get covered, so a heap entry is checked in O(1). Every
+    and drops as they get covered, so a heap entry is checked in O(1). Each
+    flow augments one depth-first path at a time, in O(cutoff * m); every
     flow shares one residual list and restores the arcs it used. No
     connectivity pass runs first: on a disconnected graph the first D[i]
     outside D[0]'s component gets flow 0, and a graph with an isolated vertex
@@ -236,66 +237,41 @@ def _unit_max_flow(
     head: list[int], arcs_of: list[list[int]], residual: list[int], source: list[bool], t: int, cutoff: int
 ) -> int:
     # Undirected unit capacities: both arcs of an edge have residual 1 on entry,
-    # and again on return. Dinic phases (Dinic 1970; Even-Tarjan 1975) run
-    # backwards from t: a BFS labels each vertex with its residual distance to
-    # t, level by level, and stops after the first level that holds a source,
-    # so no source is interior to a path. Depth-first walks from those sources
-    # then augment a blocking set of shortest paths: each step goes one level
-    # closer to t, a current-arc pointer per vertex skips arcs already tried,
-    # and a vertex with no way on is unlabelled as it is left. Stops at `cutoff`.
-    n = len(arcs_of)
+    # and again on return. Augmenting paths (Ford-Fulkerson 1956), each found
+    # by one depth-first search backwards from t that stops at the first
+    # source it reaches, so no source is interior to a path. A search visits
+    # each vertex once, under its own stamp, so it costs O(m), and at most
+    # `cutoff` paths succeed before the flow stops: O(cutoff * m) per flow.
+    seen = [0] * len(arcs_of)
     used: list[int] = []  # arcs augmented along, restored on return
     flow = 0
     while flow < cutoff:
-        level = [-1] * n
-        level[t] = 0
-        frontier = [t]
-        starts: list[int] = []
-        depth = 0
-        while frontier and not starts:
-            depth += 1
-            reached = []
-            for v in frontier:
-                # Arc a leaves v; a ^ 1 enters v from head[a].
-                for a in arcs_of[v]:
-                    w = head[a]
-                    if level[w] == -1 and residual[a ^ 1]:
-                        level[w] = depth
-                        if source[w]:
-                            starts.append(w)
-                        else:
-                            reached.append(w)
-            frontier = reached
-        if not starts:
-            break
-        tried = [0] * n
-        for s in starts:
-            path: list[int] = []
-            v = s
-            while flow < cutoff:
-                if v == t:
-                    for a in path:
-                        residual[a] -= 1
-                        residual[a ^ 1] += 1
-                    used += path
-                    flow += 1
-                    path.clear()
-                    v = s
-                    continue
-                arcs = arcs_of[v]
-                closer = level[v] - 1
-                i = tried[v]
-                while i < len(arcs) and not (residual[arcs[i]] and level[head[arcs[i]]] == closer):
-                    i += 1
-                tried[v] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    v = head[arcs[i]]
-                elif path:
-                    level[v] = -1
-                    v = head[path.pop() ^ 1]
-                else:
+        seen[t] = stamp = flow + 1
+        path: list[int] = []  # arcs from each stacked vertex to the one below
+        stack = [iter(arcs_of[t])]
+        while stack:
+            # Arc a leaves the top vertex; a ^ 1 enters it from head[a].
+            for a in stack[-1]:
+                w = head[a]
+                if seen[w] != stamp and residual[a ^ 1]:
+                    seen[w] = stamp
+                    path.append(a ^ 1)
+                    if source[w]:
+                        stack.clear()
+                    else:
+                        stack.append(iter(arcs_of[w]))
                     break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+        if not path:
+            break
+        for a in path:
+            residual[a] -= 1
+            residual[a ^ 1] += 1
+        used += path
+        flow += 1
     for a in used:
         residual[a] = residual[a ^ 1] = 1
     return flow

@@ -507,25 +507,23 @@ def _euler_orientation(n: int, edges: Sequence[Edge]) -> list[bool]:
     always leaves along the smallest unused edge. Flag i is True when edge
     i = (u, v) runs from v to u: each edge runs against the direction it was
     walked, as in the vertex path the stack pops, so in-degree = out-degree."""
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):  # canonical order lists each ascending
-        incident[u].append(i)
-        incident[v].append(i)
+    # Canonical order lists each vertex's (edge, other end, flag) ascending.
+    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append((i, v, True))
+        incident[v].append((i, u, False))
     backward: list[bool | None] = [None] * len(edges)  # None: not walked yet
-    ptr = [0] * n
+    untried = [iter(triples) for triples in incident]
     for start in range(n):
         stack = [start]
         while stack:
-            v = stack[-1]
-            while ptr[v] < len(incident[v]) and backward[incident[v][ptr[v]]] is not None:
-                ptr[v] += 1
-            if ptr[v] == len(incident[v]):
-                stack.pop()
+            for i, w, flag in untried[stack[-1]]:
+                if backward[i] is None:
+                    backward[i] = flag
+                    stack.append(w)
+                    break
             else:
-                i = incident[v][ptr[v]]
-                a, b = edges[i]
-                backward[i] = v == a
-                stack.append(b if v == a else a)
+                stack.pop()
     return backward
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Sequence
 
 from factorkit import solver
@@ -59,9 +59,11 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 
 def random_regular_graph(n: int, r: int, rng: random.Random) -> Graph:
-    """Random connected simple r-regular graph via the pairing model with
-    rejection: retries until the paired stubs give a simple connected graph;
-    n * r must be even.
+    """Random connected simple r-regular graph via the pairing model; n * r
+    must be even. For r <= 5 a pairing with a loop or a repeated pair is
+    rejected and drawn again. For r >= 6, where rejection would need
+    thousands of draws, `_switched_simple` repairs it instead. A disconnected
+    graph is drawn again.
     """
     if r < 0:
         raise ValueError(f"degree must be nonnegative, got r={r}")
@@ -74,8 +76,13 @@ def random_regular_graph(n: int, r: int, rng: random.Random) -> Graph:
     for _ in range(10000):
         stubs = [v for v in range(n) for _ in range(r)]
         rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if r >= 6:
+            pairs = _switched_simple(pairs, rng)
+            if pairs is None:
+                continue
         try:  # Graph rejects a self-loop or a repeated pair
-            g = Graph(n, tuple(zip(stubs[::2], stubs[1::2])))
+            g = Graph(n, tuple(pairs))
         except ValueError:
             continue
         if not is_connected(g):
@@ -83,6 +90,32 @@ def random_regular_graph(n: int, r: int, rng: random.Random) -> Graph:
         assert regularity(g) == r
         return g
     raise RuntimeError(f"pairing model failed to produce a {r}-regular graph on {n} vertices")
+
+
+def _switched_simple(pairs: list[tuple[int, int]], rng: random.Random) -> list[tuple[int, int]] | None:
+    """The pairing made simple by double-edge switches (McKay-Wormald 1990),
+    or None if 100 tries per pair do not get there. Each switch takes the
+    first loop or repeated pair {u, v} and a random pair {x, y}, and makes
+    them {u, x} and {v, y}, or {u, y} and {v, x}, when neither new pair is a
+    loop or already present. Every vertex keeps its degree, and each switch
+    removes at least one loop or repeat."""
+    pairs = [(u, v) if u <= v else (v, u) for u, v in pairs]
+    count = Counter(pairs)
+    for _ in range(100 * len(pairs)):
+        bad = next((i for i, e in enumerate(pairs) if e[0] == e[1] or count[e] > 1), None)
+        if bad is None:
+            return pairs
+        j = rng.randrange(len(pairs))
+        (u, v), (x, y) = pairs[bad], pairs[j]
+        if rng.random() < 0.5:
+            x, y = y, x
+        new = [(u, x) if u < x else (x, u), (v, y) if v < y else (y, v)]
+        if u == x or v == y or new[0] == new[1] or count[new[0]] or count[new[1]]:
+            continue
+        count.subtract((pairs[bad], pairs[j]))
+        count.update(new)
+        pairs[bad], pairs[j] = new
+    return None
 
 
 def brute_max_matching_size(n: int, edges: list[tuple[int, int]]) -> int:

@@ -57,6 +57,15 @@ def test_random_regular_graph():
         assert g.n == n and regularity(g) == r and is_connected(g)
 
 
+def test_random_regular_graph_repairs_dense_pairings():
+    # For r >= 6 almost every pairing has a loop or a repeated pair, and
+    # rejection alone ran out of its 10,000 draws on the first three cases;
+    # double-edge switches repair each pairing instead.
+    for n, r in ((10, 6), (13, 6), (40, 8), (160, 6), (7, 6), (9, 8)):
+        g = random_regular_graph(n, r, random.Random(1))
+        assert g.n == n and regularity(g) == r and is_connected(g)
+
+
 def test_random_generators_are_seed_deterministic():
     a = random_regular_graph(10, 4, random.Random(3))
     b = random_regular_graph(10, 4, random.Random(3))

@@ -288,16 +288,47 @@ def test_edge_connectivity_of_families_matches_networkx():
         assert edge_connectivity(g) == _networkx_edge_connectivity(g) == 2 < min(g.degrees())
 
 
-def test_edge_connectivity_of_large_regular_graphs_matches_networkx():
+def _greedy_dominating_set(g):
+    """Greedy by coverage, ties to the smallest id, by a full scan per pick."""
+    uncovered = set(range(g.n))
+    picks = []
+    while uncovered:
+        v = max(range(g.n), key=lambda v: (len(uncovered.intersection((v, *g.neighbors(v)))), -v))
+        picks.append(v)
+        uncovered.difference_update((v, *g.neighbors(v)))
+    return picks
+
+
+def _torus(a, b):
+    return Graph(a * b, tuple((i * b + j, w) for i in range(a) for j in range(b)
+                              for w in (((i + 1) % a) * b + j, i * b + (j + 1) % b)))
+
+
+def _hypercube(d):
+    return Graph(1 << d, tuple((v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1))
+
+
+@pytest.mark.slow
+def test_edge_connectivity_of_large_regular_graphs_matches_networkx(flow_sources):
+    # lambda = delta on every host, so every flow runs until it reaches its
+    # cutoff, as on the benchmark circulants. The flows run from the greedy
+    # dominating set D, in its order, one per member after the first.
     rng = random.Random(5)
     graphs = [
         circulant_graph(120, (1, 11, 37)),
         circulant_graph(200, (1, 9, 43, 77)),
         circulant_graph(300, (1, 13, 47, 89, 121)),
+        _torus(30, 30),
+        _hypercube(8),
     ]
     graphs += [random_regular_graph(2 * rng.randint(50, 150), r, rng) for r in (3, 3, 4, 4)]
+    graphs += [random_regular_graph(2 * rng.randint(100, 500), r, rng) for r in (3, 4, 5, 6, 8)]
     for g in graphs:
-        assert edge_connectivity(g) == _networkx_edge_connectivity(g)
+        flow_sources.clear()
+        assert edge_connectivity(g) == _networkx_edge_connectivity(g) == min(g.degrees())
+        dominating = _greedy_dominating_set(g)
+        assert flow_sources[0][0] == dominating[:1]
+        assert [t for _, t in flow_sources] == dominating[1:]
 
 
 def test_edge_connectivity_flows_follow_greedy_dominating_set(flow_sources):
@@ -372,17 +403,25 @@ class _ReadCounting(list):
 
 def test_unit_max_flow_retreats_from_dead_ends():
     # s = 0 reaches t = 5 through x = 1 and y = 2, then a = 3 and b = 4; x
-    # only has a. The first walk takes s-x-a-t. In the same phase the next
-    # walk finds x and then a saturated, and must back out of both to reach
-    # s-y-b-t.
+    # only has a. Searching back from t, the first path is s-x-a-t and the
+    # second s-y-b-t.
     g = from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)])
     assert _check_unit_max_flow(g, {0}, 5) == 2
-    # Each BFS reads s's mask entry once when it reaches s, and the BFS after
-    # the blocking flow does not reach it: both paths come from one phase.
+    # A search reads a vertex's source entry once, when it first reaches the
+    # vertex, and stops there if it is a source: s's entry is read once per
+    # augmenting path found, and the third search, which fails, never reads it.
     source = _ReadCounting([True] + [False] * 5)
     head, arcs_of = _arcs(g)
     assert graph_module._unit_max_flow(head, arcs_of, [1] * len(head), source, 5, 3) == 2
-    assert source.reads[0] == 1
+    assert source.reads[0] == 2
+    # The same graph from 5 to 0: the first search runs back from 0 through
+    # 1, 3, 2 and 4 to 5. The second goes through 2 and 3 into 1, a dead end,
+    # backs out of it, and reaches 5 from 3: its path 5-3-2-0 cancels the
+    # first path's flow on 2-3.
+    assert _check_unit_max_flow(g, {5}, 0) == 2
+    source = _ReadCounting([False] * 5 + [True])
+    assert graph_module._unit_max_flow(head, arcs_of, [1] * len(head), source, 0, 3) == 2
+    assert source.reads[5] == 2
     # Every source beyond a bridge: nothing reaches t, at any cutoff.
     g = from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert _check_unit_max_flow(g, {0, 2}, 4) == 0
