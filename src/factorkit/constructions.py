@@ -20,7 +20,7 @@ every run.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -42,8 +42,7 @@ class CaseLabel(enum.Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A near-complete block: K_{r+1} minus one edge, plus its designated
     unsaturated pair (the two endpoints of the removed edge)."""
 
@@ -51,8 +50,7 @@ class Block:
     unsaturated: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ConstructionOutput:
+class ConstructionOutput(NamedTuple):
     """A generated family member with its labeling map.
 
     block_ranges lists (first id, last id, unsaturated pair) per block; the

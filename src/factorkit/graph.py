@@ -11,12 +11,10 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
@@ -28,9 +26,15 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate and canonicalize the given edges. A method of its own, as
+        perfbench/tracing.py times graph construction by wrapping it."""
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         # A dict keeps the input order, which callers mostly give near-sorted,
@@ -68,6 +72,23 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to attribute {name!r} of an immutable Graph")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete attribute {name!r} of an immutable Graph")
 
     @property
     def m(self) -> int:

@@ -45,10 +45,9 @@ All functions are pure and the verdicts are deterministic across runs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import contains, index, lt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, regularity
 from .matching import perfect_matching
@@ -69,7 +68,6 @@ BRUTE_FORCE_EDGE_CAP = 22
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class FactorSpec:
     """A finite, nonempty set of allowed vertex degrees.
 
@@ -79,13 +77,30 @@ class FactorSpec:
 
     allowed: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = sorted(set(map(index, self.allowed)))
+    def __init__(self, allowed: Iterable[int]) -> None:
+        values = sorted(set(map(index, allowed)))
         if not values:
             raise ValueError("a factor spec needs at least one allowed degree")
         if values[0] < 0:
             raise ValueError("allowed degrees must be nonnegative")
         object.__setattr__(self, "allowed", tuple(values))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.allowed == other.allowed
+
+    def __hash__(self) -> int:
+        return hash((self.allowed,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(allowed={self.allowed!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to attribute {name!r} of an immutable FactorSpec")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete attribute {name!r} of an immutable FactorSpec")
 
     @classmethod
     def of(cls, *values: int) -> "FactorSpec":
@@ -105,8 +120,7 @@ class FactorSpec:
         return all(a % 2 == 1 for a in self.allowed)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of a factor decision.
 
     verdict is "exists" (with a certificate), "not-exists" (only after a

@@ -16,16 +16,14 @@ graph, hubs and spec and comparing, without any factor search.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from operator import index
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, connected_components, edge_connectivity, is_connected, regularity
 from .solver import FactorSpec, h_factor_decide
 
 
-@dataclass(frozen=True)
-class GallaiReport:
+class GallaiReport(NamedTuple):
     """Hypothesis report for the Gallai k-factor bound on one graph.
 
     applicable is the conjunction of all hypotheses: r even, k odd, even
@@ -42,7 +40,7 @@ class GallaiReport:
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def gallai_check(g: Graph, k: int) -> GallaiReport:
@@ -96,8 +94,7 @@ def verify_theorem2(g: Graph) -> bool | None:
     return None if exists is None else exists == (g.n % 2 == 0)
 
 
-@dataclass(frozen=True)
-class NoFactorCertificate:
+class NoFactorCertificate(NamedTuple):
     """A machine-checkable parity argument that no factor exists.
 
     hubs are sorted vertex ids; components are the components of the graph

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -231,27 +230,26 @@ def test_check_certificate_rejects_tampering():
     cert = hub_parity_analysis(out.graph, out.hubs, FactorSpec.of(1, 5))
     assert check_certificate(out.graph, cert)
 
-    tampered_spec = dataclasses.replace(cert, spec=FactorSpec.of(3))
+    tampered_spec = cert._replace(spec=FactorSpec.of(3))
     assert not check_certificate(out.graph, tampered_spec)
 
     merged = cert.components[0] + cert.components[1]
-    broken_decomp = dataclasses.replace(
-        cert,
+    broken_decomp = cert._replace(
         components=(merged,) + cert.components[2:],
         cross_edges=((4,),) + cert.cross_edges[2:],
     )
     assert not check_certificate(out.graph, broken_decomp)
 
-    wrong_achievable = dataclasses.replace(cert, achievable_hub_degrees=((1,),))
+    wrong_achievable = cert._replace(achievable_hub_degrees=((1,),))
     assert not check_certificate(out.graph, wrong_achievable)
 
-    wrong_conclusion = dataclasses.replace(cert, conclusion=False)
+    wrong_conclusion = cert._replace(conclusion=False)
     assert not check_certificate(out.graph, wrong_conclusion)
 
-    wrong_counts = dataclasses.replace(cert, cross_edges=((1,), (2,), (2,)))
+    wrong_counts = cert._replace(cross_edges=((1,), (2,), (2,)))
     assert not check_certificate(out.graph, wrong_counts)
 
-    bad_hubs = dataclasses.replace(cert, hubs=(99,))
+    bad_hubs = cert._replace(hubs=(99,))
     assert not check_certificate(out.graph, bad_hubs)
 
 
@@ -260,8 +258,8 @@ def test_check_certificate_rejects_malformed_hubs_and_spec():
     cert = hub_parity_analysis(out.graph, out.hubs, FactorSpec.of(1, 7))
     assert cert.hubs == (72, 73) and check_certificate(out.graph, cert)
     for hubs in ((73, 72), (72, 72, 73), ()):
-        assert not check_certificate(out.graph, dataclasses.replace(cert, hubs=hubs)), hubs
-    assert not check_certificate(out.graph, dataclasses.replace(cert, spec=FactorSpec.of(1, 2)))
+        assert not check_certificate(out.graph, cert._replace(hubs=hubs)), hubs
+    assert not check_certificate(out.graph, cert._replace(spec=FactorSpec.of(1, 2)))
 
 
 def test_certificate_json_roundtrip():
