@@ -24,15 +24,17 @@ take in it, and the feasible s are folded into the vertex's candidates (each
 candidate a becomes a - s), which the blocks beside and above it then see;
 the root is queried once. Top down, each vertex undoes its folds in reverse,
 giving each child block the least s that keeps its degree a candidate from
-before that fold. A block is decided by branch and bound: a node tries every
-vertex at its lowest candidate, then relaxes each vertex's candidates to
-their window, which is exact when no gap exceeds 1 (Cornuejols 1988), and
-splits the candidates of a vertex whose relaxed degree falls in a gap. The
-host keeps its block-cut tree for later decisions: each block is induced
-once per graph, equal blocks share one piece, and queries are memoized by
-(piece id, candidate degrees). The pass is flat loops, so deep block-cut
-trees need no recursion. "Not exists" only ever follows a provably exhausted
-space; running out of node budget yields "inconclusive".
+before that fold. A block is decided by branch and bound: a node tries the
+greedy factor at every vertex's lowest candidate, then relaxes each vertex's
+candidates to their window, which is exact when no gap exceeds 1 (Cornuejols
+1988) and holds every all-lowest factor, so a failed relaxation prunes; else
+it tries the all-lowest gadget, then splits the candidates of a vertex whose
+relaxed degree falls in a gap. The host keeps its block-cut tree for later
+decisions: each block is induced once per graph, equal blocks share one
+piece, and queries are memoized by (piece id, candidate degrees). The pass
+is flat loops, so deep block-cut trees need no recursion. "Not exists" only
+ever follows a provably exhausted space; running out of node budget yields
+"inconclusive".
 
 Even-regular hosts get even-degree factors by construction instead
 (Petersen 1891): one Euler orientation, then r/2 perfect matchings peeled
@@ -190,13 +192,6 @@ def _is_factor(g: Graph, edges: tuple[Edge, ...], allowed: Sequence[tuple[int, .
 
 # ---------------------------------------------------------------------------
 # Degree-window gadget and the exact-degree decision
-
-
-def _prescribed_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
-    """Edges of a spanning subgraph with exactly targets[v] edges at each v,
-    or None if there is none: the greedy factor, else the gadget."""
-    edges = _greedy_factor_edges(g, targets)
-    return _gadget_factor_edges(g, targets) if edges is None else edges
 
 
 def _greedy_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] | None:
@@ -399,12 +394,13 @@ def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchSt
 def _solve_by_relaxation(
     sub: Graph, candidates: tuple[tuple[int, ...], ...], state: _SearchState
 ) -> list[Edge] | None:
-    """Branch and bound, depth first. A node tries every vertex at its lowest
-    candidate, which settles a node of single candidates, then the hull: each
-    vertex's candidates widened to a window. No hull factor prunes; one with
-    every degree a candidate solves; else the first vertex whose degree d is
-    in a gap splits below d, then above. The lower child keeps every lowest
-    candidate, so it inherits whether that attempt already failed and skips it."""
+    """Branch and bound, depth first. A node tries the greedy factor at every
+    vertex's lowest candidate, then the hull, each vertex's candidates widened
+    to a window; it holds every all-lowest factor, so no hull factor prunes.
+    Then the all-lowest gadget (unless the hull is it) solves if it can; else
+    a hull factor with every degree a candidate does, or the first vertex
+    whose degree d is in a gap splits below d, then above. The lower child
+    keeps every lowest candidate, so it inherits a failed all-lowest attempt."""
     stack = [(candidates, False)]
     while stack:
         candidates, lows_failed = stack.pop()
@@ -412,21 +408,25 @@ def _solve_by_relaxation(
         if _parity_impossible(candidates):
             continue
         lows = [c[0] for c in candidates]
-        if not lows_failed and sum(lows) % 2 == 0:
-            edges = _prescribed_factor_edges(sub, lows)
+        due = not lows_failed and sum(lows) % 2 == 0
+        edges = _greedy_factor_edges(sub, lows) if due else None
+        if edges is not None:
+            return list(edges)
+        highs = [c[-1] for c in candidates]
+        if not due and lows == highs:
+            continue
+        hull = _gadget_factor_edges(sub, lows, highs, [_mixed(c) for c in candidates])
+        if hull is None:
+            continue
+        if due and lows != highs:
+            edges = _gadget_factor_edges(sub, lows)
             if edges is not None:
                 return list(edges)
             lows_failed = True
-        if all(len(c) == 1 for c in candidates):
-            continue
-        highs = [c[-1] for c in candidates]
-        edges = _gadget_factor_edges(sub, lows, highs, [_mixed(c) for c in candidates])
-        if edges is None:
-            continue
-        degrees = subgraph_degrees(sub.n, edges)
+        degrees = subgraph_degrees(sub.n, hull)
         v = next((v for v, c in enumerate(candidates) if degrees[v] not in c), None)
         if v is None:
-            return list(edges)
+            return list(hull)
         d, c = degrees[v], candidates[v]
         stack += [(candidates[:v] + (tuple(a for a in c if a > d),) + candidates[v + 1:], False),
                   (candidates[:v] + (tuple(a for a in c if a < d),) + candidates[v + 1:], lows_failed)]

@@ -3,7 +3,8 @@
 The oracles are deliberately naive: straight enumeration with no shared
 code paths into the solver, so agreement is meaningful evidence. The
 exceptions are `reference_maximum_matching`, a frozen earlier version of the
-matching that pins its exact search order,
+matching that pins its exact search order, `prescribed_factor_edges`, the
+solver's greedy factor falling back on its gadget,
 `reference_prescribed_factor_edges`, the earlier d - f core gadget, which
 runs the solver's matching engine on a gadget of its own, and
 `reference_euler_arcs`, the earlier Euler orientation that built the vertex
@@ -326,6 +327,16 @@ def reference_maximum_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int
                 mate[prev] = end
                 end = next_end
     return mate
+
+
+# Exact targets by the solver's own two steps, the greedy factor and then
+# the gadget. Both are looked up on the solver module, so a test's spy there
+# sees them.
+def prescribed_factor_edges(g: Graph, targets: Sequence[int]):
+    """Edges of a spanning subgraph with exactly targets[v] edges at each v,
+    or None if there is none: the greedy factor, else the gadget."""
+    edges = solver._greedy_factor_edges(g, targets)
+    return solver._gadget_factor_edges(g, targets) if edges is None else edges
 
 
 # The exact-degree gadget before it took the smaller side at each vertex,

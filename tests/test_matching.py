@@ -174,12 +174,26 @@ def test_barriers_hold_on_random_graphs():
     assert 0 < perfect < 3000
 
 
-def test_barriers_hold_on_two_hub_gadgets(solver_matchings):
-    # The spy checks the barrier of every gadget the {1,3} search builds on
-    # the biconnected two-hub graphs; none has a perfect matching. Each search
-    # is one node: the all-1 gadget, then the {1,3} hull.
-    for t in (2, 3, 4, 5):
-        assert h_factor_decide(two_hub(t), FactorSpec.of(1, 3)).verdict == solver.NOT_EXISTS
+def test_barriers_hold_on_two_hub_gadgets(solver_matchings, monkeypatch):
+    # The spy checks the barrier of every gadget matched below on the
+    # biconnected two-hub graphs; none has a perfect matching. The all-1
+    # gadgets are built directly: each {1,3} search is one node that matches
+    # its hull alone, since the hull holds every all-1 factor.
+    graphs = [two_hub(t) for t in (2, 3, 4, 5)]
+    for g in graphs:
+        assert solver._gadget_factor_edges(g, [1] * g.n) is None
+    builds = []
+    real = solver._gadget_factor_edges
+
+    def spy(g, lows, highs=None, mixed=()):
+        builds.append((tuple(lows), tuple(lows if highs is None else highs)))
+        return real(g, lows, highs, mixed)
+
+    monkeypatch.setattr(solver, "_gadget_factor_edges", spy)
+    for g in graphs:
+        builds.clear()
+        assert h_factor_decide(g, FactorSpec.of(1, 3)).verdict == solver.NOT_EXISTS
+        assert builds == [((1,) * g.n, tuple(3 if g.degree(v) >= 3 else 1 for v in range(g.n)))]
     assert len(solver_matchings) == 8
     assert all(-1 in mate for _, _, mate in solver_matchings)
 

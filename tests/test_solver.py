@@ -43,6 +43,7 @@ from oracles import (
     exact_cover_exists,
     path_graph,
     petersen,
+    prescribed_factor_edges,
     random_block_tree,
     random_even_graph,
     random_regular_graph,
@@ -258,7 +259,7 @@ def test_gadget_agrees_with_reference_gadget():
                for n in (rng.randint(1, 40) for _ in range(400)))
     for g in itertools.chain(randoms, _atlas_graphs()):
         targets = _gadget_targets(rng, g, next(draws))
-        edges = solver._prescribed_factor_edges(g, targets)
+        edges = prescribed_factor_edges(g, targets)
         greedy = solver._greedy_factor_edges(g, targets)
         assert (edges is not None) == (reference_prescribed_factor_edges(g, targets) is not None)
         for certificate in (edges, greedy):
@@ -308,7 +309,7 @@ def test_gadget_against_subset_enumeration_on_every_small_graph():
             for choice in itertools.product(*(range(len(w)) for w in windows)):
                 lows, highs, mixed = zip(*(windows[v][w] for v, w in enumerate(choice)))
                 if highs == lows:
-                    edges = solver._prescribed_factor_edges(g, lows)
+                    edges = prescribed_factor_edges(g, lows)
                 else:
                     edges = solver._gadget_factor_edges(g, lows, highs, mixed)
                 want = functools.reduce(int.__and__, (inside[v][w] for v, w in enumerate(choice)))
@@ -358,8 +359,8 @@ def test_h_factor_budget_is_honest():
 
 def test_two_hub_probe_is_one_node():
     # The benchmark's budgeted probe: eight triangles hang off two hubs, so no
-    # {1,3}-factor exists and there is no cut vertex. The all-1 gadget and the
-    # {1,3} hull both fail at the first node, within a 1,000-node budget.
+    # {1,3}-factor exists and there is no cut vertex. The {1,3} hull fails at
+    # the first node, which refutes it within a 1,000-node budget.
     g = two_hub(8)
     dec = h_factor_decide(g, FactorSpec.of(1, 3), budget=1000)
     assert (dec.verdict, dec.method) == (NOT_EXISTS, "exhausted-assignments")
@@ -398,7 +399,23 @@ def test_g1_root_blocks_need_no_matching(monkeypatch, r, nodes):
     assert calls == []
 
 
-def test_branching_refutes_a_feasible_hull(monkeypatch):
+@pytest.fixture
+def gadget_builds(monkeypatch):
+    """(lows, highs, found) of every gadget the solver builds, in call order,
+    highs equal to lows for an exact one."""
+    builds = []
+    real = solver._gadget_factor_edges
+
+    def spy(g, lows, highs=None, mixed=()):
+        edges = real(g, lows, highs, mixed)
+        builds.append((tuple(lows), tuple(lows if highs is None else highs), edges is not None))
+        return edges
+
+    monkeypatch.setattr(solver, "_gadget_factor_edges", spy)
+    return builds
+
+
+def test_branching_refutes_a_feasible_hull(gadget_builds):
     # K_{2,4} under {1,4}: the four leaves take one edge each, so the hub
     # degrees sum to 4, which neither 1 + 3, 2 + 2 nor 4 + 0 is. The hull
     # (hubs anywhere in 1..4) is feasible, so the search branches at a hub
@@ -406,19 +423,52 @@ def test_branching_refutes_a_feasible_hull(monkeypatch):
     # A lower child keeps every lowest candidate, so it inherits the failed
     # all-1 gadget instead of matching it again, and prunes when its hull is
     # that gadget: one all-1 build of at most four.
-    builds = []
-    real = solver._gadget_factor_edges
-
-    def spy(g, lows, highs=None, mixed=()):
-        builds.append((tuple(lows), tuple(lows if highs is None else highs)))
-        return real(g, lows, highs, mixed)
-
-    monkeypatch.setattr(solver, "_gadget_factor_edges", spy)
     g = Graph(6, tuple((leaf, hub) for leaf in range(4) for hub in (4, 5)))
     dec = h_factor_decide(g, FactorSpec.of(1, 4))
     assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "exhausted-assignments", 5)
+    builds = [(lows, highs) for lows, highs, _ in gadget_builds]
     assert builds.count(((1,) * 6, (1,) * 6)) == 1 and len(builds) <= 4
     assert not brute_force_h_factor(g, FactorSpec.of(1, 4)).exists
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 8])
+def test_two_hub_node_matches_only_its_hull(gadget_builds, t):
+    # The hull holds every all-1 factor, so its failure refutes the one node
+    # without the all-1 gadget.
+    g = two_hub(t)
+    assert h_factor_decide(g, FactorSpec.of(1, 3)).verdict == NOT_EXISTS
+    assert len(gadget_builds) == 1
+    lows, highs, found = gadget_builds[0]
+    assert lows != highs and not found
+
+
+@pytest.mark.parametrize("r, k", [(8, 3), (12, 5)])
+def test_g2_root_matches_hull_then_lows(gadget_builds, r, k):
+    # The greedy factor misses at G2's root block. The hull is matched first
+    # and has a factor; the all-lowest gadget then has none, and the hull's
+    # factor, every degree a candidate, gives the pinned certificate.
+    spec = FactorSpec.complementary(k, r)
+    dec = h_factor_decide(build_g2(r).graph, spec)
+    builds = [(lows == highs, found) for lows, highs, found in gadget_builds]
+    assert builds == [(False, True), (True, False)]
+    assert dict(_family_decisions())[("build_g2", r, spec.allowed)] == dec
+
+
+def test_exact_cover_matchings_counted(monkeypatch):
+    # The pendant form at q = 12: 506 matchings over the ten draws, an exact
+    # count. A node whose hull has no factor costs one matching.
+    calls = []
+    real = solver.perfect_matching
+
+    def spy(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(solver, "perfect_matching", spy)
+    for seed in range(10):
+        g = x3c_graph(12, x3c_sets(12, random.Random(seed)), pendants=True)
+        h_factor_decide(g, FactorSpec.of(1, 4))
+    assert len(calls) == 506
 
 
 def test_h_factor_negative_budget_is_an_error():
@@ -849,31 +899,48 @@ def test_dense_atlas_census_against_backtracking(allowed):
             assert verify_factor(g, dec.certificate, spec)
 
 
-@pytest.mark.parametrize("q", [12, 18, pytest.param(24, marks=pytest.mark.slow)])
-def test_exact_cover_corpus_against_dfs(q):
-    # Exact cover by 3-sets, each element in three sets, in two forms: with a
-    # pendant leaf per set under {1,4}, and directly with elements at {1} and
-    # sets at {0,3}. Both must answer as the exact-cover search does.
-    spec = FactorSpec.of(1, 4)
-    answers = set()
+@functools.cache
+def _exact_cover_decisions(q: int) -> Labelled:
+    """Exact cover by 3-sets on q elements, each in three sets, for seeds
+    0-9 in two forms: with a pendant leaf per set under {1,4}, then directly
+    with elements at {1} and sets at {0,3}. Each decision is labelled by
+    (seed, form, graph, allowed sets)."""
+    decisions = []
     for seed in range(10):
         sets = x3c_sets(q, random.Random(seed))
-        want = exact_cover_exists(q, sets)
-        answers.add(want)
         pendant = x3c_graph(q, sets, pendants=True)
-        dec = h_factor_decide(pendant, spec)
-        assert dec.exists is want, (q, seed)
-        if dec.exists:
-            assert verify_factor(pendant, dec.certificate, spec)
         direct = x3c_graph(q, sets, pendants=False)
-        allowed = [FactorSpec.of(1)] * q + [FactorSpec.of(0, 3)] * q
-        dec = factor_decide(direct, allowed)
-        assert dec.exists is want, (q, seed)
+        for form, g, allowed in (
+            ("pendant", pendant, (FactorSpec.of(1, 4),) * pendant.n),
+            ("direct", direct, (FactorSpec.of(1),) * q + (FactorSpec.of(0, 3),) * q),
+        ):
+            decisions.append(((seed, form, g, allowed), factor_decide(g, allowed)))
+    return tuple(decisions)
+
+
+@pytest.mark.parametrize("q", [12, 18, pytest.param(24, marks=pytest.mark.slow)])
+def test_exact_cover_corpus_against_dfs(q):
+    # Both forms must answer as the exact-cover search does.
+    answers = set()
+    for (seed, form, g, allowed), dec in _exact_cover_decisions(q):
+        want = exact_cover_exists(q, x3c_sets(q, random.Random(seed)))
+        answers.add(want)
+        assert dec.exists is want, (q, seed, form)
         if dec.exists:
-            assert set(dec.certificate) <= set(direct.edges)
-            assert all(d in a for d, a in zip(subgraph_degrees(direct.n, dec.certificate), allowed))
+            assert set(dec.certificate) <= set(g.edges)
+            assert all(d in a for d, a in zip(subgraph_degrees(g.n, dec.certificate), allowed))
     # Every draw at q = 24 is a no-instance; the smaller q give both answers.
     assert answers == ({False} if q == 24 else {False, True})
+
+
+def test_exact_cover_decisions_pinned():
+    # Verdicts, methods, certificates and node counts at q = 12 and 18: the
+    # one pinned corpus whose blocks split in the branch and bound, so a
+    # change to a node's order of gadgets must leave every search alone.
+    decisions = _exact_cover_decisions(12) + _exact_cover_decisions(18)
+    assert _decisions_digest(decisions, certificates=True) == (
+        "527dcdae305a158b3d3dcb87d555dd28a2d42e1e55f693648be5715ab6ae28dc"
+    )
 
 
 def test_brute_force_examples():
