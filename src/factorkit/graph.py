@@ -115,19 +115,21 @@ class Graph:
         return tuple(map(tuple, connected_components(self)))
 
     @cached_property
-    def _block_tree(self) -> tuple[tuple, tuple, tuple, tuple]:
-        """(blocks, order, attach, pieces), computed once. blocks are sorted
-        vertex tuples. Each component is rooted at its largest block, the
-        lowest index among equals; breadth first from the roots, every other
-        block i hangs from cut vertex attach[i] (-1 at a root), and order
-        lists each block before the blocks below it, whatever order the
+    def _block_tree(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+        """(blocks, order, attach, pieces, cuts), computed once. blocks are
+        sorted vertex tuples. Each component is rooted at its largest block,
+        the lowest index among equals; breadth first from the roots, every
+        other block i hangs from cut vertex attach[i] (-1 at a root), and
+        order lists each block before the blocks below it, whatever order the
         blocks are listed in. pieces[i] is (piece id, the graph block i
         induces, whose vertex j is blocks[i][j]): blocks that induce equal
-        graphs share one piece. A block spanning the graph is the graph, held
-        as None: a graph in its own cache would wait for the cycle collector."""
+        graphs share one piece. cuts[i] lists, ascending, the positions j in
+        block i of its cut vertices, those in two or more blocks. A block
+        spanning the graph is the graph, held as None: a graph in its own
+        cache would wait for the cycle collector."""
         blocks = [tuple(b) for b in biconnected_blocks(self)]
         if len(blocks) == 1 and len(blocks[0]) == self.n:
-            return tuple(blocks), (0,), (-1,), ((0, None),)
+            return tuple(blocks), (0,), (-1,), ((0, None),), ((),)
         blocks_of: list[list[int]] = [[] for _ in range(self.n)]
         for i, block in enumerate(blocks):
             for v in block:
@@ -147,7 +149,8 @@ class Graph:
         for block in blocks:
             sub = induced_subgraph(self, block)
             pieces.append(shapes.setdefault((sub.n, sub.edges), (len(shapes), sub)))
-        return tuple(blocks), tuple(order), tuple(attach), tuple(pieces)
+        cuts = tuple(tuple(j for j, v in enumerate(block) if len(blocks_of[v]) > 1) for block in blocks)
+        return tuple(blocks), tuple(order), tuple(attach), tuple(pieces), cuts
 
 
 def from_edges(n: int, pairs: Iterable[Sequence[int]]) -> Graph:

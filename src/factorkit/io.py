@@ -46,7 +46,7 @@ def decode_graph6(data: bytes | str) -> Graph:
         data = data[len(_G6_PREFIX):]
     if not data:
         raise ValueError("empty graph6 string")
-    if any(b < 63 or b > 126 for b in data):
+    if data.translate(None, bytes(range(63, 127))):
         raise ValueError("graph6 byte outside the printable range 63..126")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:

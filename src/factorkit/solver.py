@@ -22,13 +22,14 @@ its largest block, and every other block keeps the cut vertex it hangs from.
 Leaves first, each such block is queried once per degree s that vertex can
 take in it, and the feasible s are folded into the vertex's candidates (each
 candidate a becomes a - s), which the blocks beside and above it then see;
-the root is queried once. Top down, each vertex undoes its folds in reverse,
-giving each child block the least s that keeps its degree a candidate from
-before that fold. A block is decided by branch and bound: a node tries the
-greedy factor at every vertex's lowest candidate, then relaxes each vertex's
-candidates to their window, which is exact when no gap exceeds 1 (Cornuejols
-1988) and holds every all-lowest factor, so a failed relaxation prunes; else
-it tries the all-lowest gadget, then splits the candidates of a vertex whose
+the root is queried once. Top down, each cut vertex undoes its folds in
+reverse, giving each child block the least s that keeps its degree a
+candidate from before that fold. A block is decided by branch and bound: a
+node tries the greedy factor at every vertex's lowest candidate, then
+relaxes each vertex's candidates to their window, which is exact when no gap
+exceeds 1 (Cornuejols 1988) and holds every all-lowest factor, so a failed
+relaxation prunes and one with every degree a candidate solves; else it
+tries the all-lowest gadget, then splits the candidates of a vertex whose
 relaxed degree falls in a gap. The host keeps its block-cut tree for later
 decisions: each block is induced once per graph, equal blocks share one
 piece, and queries are memoized by (piece id, candidate degrees). The pass
@@ -341,10 +342,11 @@ def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchSt
     or None if impossible, over g's block-cut tree. Leaves first, every
     block but a root is queried once per degree the vertex it hangs from can
     take in it, and those degrees are folded into that vertex's candidates;
-    a root is queried once. Top down, each vertex unfolds its child blocks
+    a root is queried once. A block re-clips only its other cut vertices to
+    their degree in it. Top down, each cut vertex unfolds its child blocks
     in reverse, each at the least degree that keeps its total a candidate
     from before that child's fold."""
-    blocks, order, attach, pieces = g._block_tree
+    blocks, order, attach, pieces, cuts = g._block_tree
     if pieces and pieces[0][1] is None:  # one block spans g: the decision's only query
         return _solve_by_relaxation(g, tuple(allowed), state)
     # by_degree[i]: attachment's degree in block i -> block edges in its labels;
@@ -356,10 +358,14 @@ def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchSt
     for i in reversed(order):
         block, v, piece = blocks[i], attach[i], pieces[i]
         sub = piece[1]
-        candidates = [allowed[u] if u == v else allowed[u][:bisect_right(allowed[u], sub.degree(j))]
-                      for j, u in enumerate(block)]
-        if not all(candidates):
-            return None
+        # A vertex in one block has its host degree there, which factor_decide clipped it to.
+        candidates = list(map(allowed.__getitem__, block))
+        for j in cuts[i]:
+            u = block[j]
+            if u != v:
+                candidates[j] = allowed[u][:bisect_right(allowed[u], sub.degree(j))]
+                if not candidates[j]:
+                    return None
         if v == -1:
             chosen[i] = state.query(piece, tuple(candidates))
             if chosen[i] is None:
@@ -379,14 +385,14 @@ def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchSt
     out: list[Edge] = []
     for i in order:
         block = blocks[i]
-        degrees = subgraph_degrees(len(block), chosen[i])
-        for j, v in enumerate(block):
-            if v != attach[i]:
-                d = degrees[j]
-                for child, before in reversed(folds[v]):
-                    s = next(s for s in by_degree[child] if d + s in before)
-                    chosen[child] = by_degree[child][s]
-                    d += s
+        unfold = [j for j in cuts[i] if block[j] != attach[i] and folds[block[j]]]
+        degrees = subgraph_degrees(len(block), chosen[i]) if unfold else []
+        for j in unfold:
+            d = degrees[j]
+            for child, before in reversed(folds[block[j]]):
+                s = next(s for s in by_degree[child] if d + s in before)
+                chosen[child] = by_degree[child][s]
+                d += s
         out.extend((block[u], block[w]) for u, w in chosen[i])
     return out
 
@@ -396,11 +402,11 @@ def _solve_by_relaxation(
 ) -> list[Edge] | None:
     """Branch and bound, depth first. A node tries the greedy factor at every
     vertex's lowest candidate, then the hull, each vertex's candidates widened
-    to a window; it holds every all-lowest factor, so no hull factor prunes.
-    Then the all-lowest gadget (unless the hull is it) solves if it can; else
-    a hull factor with every degree a candidate does, or the first vertex
-    whose degree d is in a gap splits below d, then above. The lower child
-    keeps every lowest candidate, so it inherits a failed all-lowest attempt."""
+    to a window; it holds every all-lowest factor, so no hull factor prunes,
+    and a hull factor with every degree a candidate solves. Else the
+    all-lowest gadget solves if it can, or the first vertex whose degree d is
+    in a gap splits below d, then above. The lower child keeps every lowest
+    candidate, so it inherits a failed all-lowest attempt."""
     stack = [(candidates, False)]
     while stack:
         candidates, lows_failed = stack.pop()
@@ -418,15 +424,15 @@ def _solve_by_relaxation(
         hull = _gadget_factor_edges(sub, lows, highs, [_mixed(c) for c in candidates])
         if hull is None:
             continue
-        if due and lows != highs:
-            edges = _gadget_factor_edges(sub, lows)
-            if edges is not None:
-                return list(edges)
-            lows_failed = True
         degrees = subgraph_degrees(sub.n, hull)
         v = next((v for v, c in enumerate(candidates) if degrees[v] not in c), None)
         if v is None:
             return list(hull)
+        if due:  # v's degree is in a gap, so the hull is not the all-lowest gadget
+            edges = _gadget_factor_edges(sub, lows)
+            if edges is not None:
+                return list(edges)
+            lows_failed = True
         d, c = degrees[v], candidates[v]
         stack += [(candidates[:v] + (tuple(a for a in c if a > d),) + candidates[v + 1:], False),
                   (candidates[:v] + (tuple(a for a in c if a < d),) + candidates[v + 1:], lows_failed)]

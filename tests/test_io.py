@@ -108,6 +108,13 @@ def test_decode_rejects_malformed():
         decode_graph6(b"~~")
 
 
+def test_decode_rejects_one_unprintable_byte_deep_in_a_long_string():
+    data = bytearray(encode_graph6(build_g2(12).graph))
+    data[len(data) // 2] = 127
+    with pytest.raises(ValueError, match="outside the printable range"):
+        decode_graph6(bytes(data))
+
+
 @pytest.mark.parametrize("text", ["\u00e9", "\udcff"])
 def test_decode_rejects_non_ascii_text_as_unprintable(text):
     # A non-ASCII character, or a byte that stdin decoding escaped to a lone

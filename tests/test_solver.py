@@ -15,7 +15,7 @@ import factorkit.graph as graph_module
 from factorkit import solver
 from factorkit.constructions import build_g1, build_g2
 from factorkit.generators import circulant_graph, random_graph
-from factorkit.graph import Graph, is_connected
+from factorkit.graph import Graph, articulation_points, is_connected
 from factorkit.matching import maximum_matching
 from factorkit.solver import (
     BRUTE_FORCE_EDGE_CAP,
@@ -443,15 +443,31 @@ def test_two_hub_node_matches_only_its_hull(gadget_builds, t):
 
 
 @pytest.mark.parametrize("r, k", [(8, 3), (12, 5)])
-def test_g2_root_matches_hull_then_lows(gadget_builds, r, k):
-    # The greedy factor misses at G2's root block. The hull is matched first
-    # and has a factor; the all-lowest gadget then has none, and the hull's
-    # factor, every degree a candidate, gives the pinned certificate.
+def test_g2_root_matches_only_its_hull(gadget_builds, r, k):
+    # The greedy factor misses at G2's root block. The hull has a factor with
+    # every degree a candidate, which solves the node, so the all-lowest
+    # gadget (which has no factor there) is never built, and the decision is
+    # the pinned one.
     spec = FactorSpec.complementary(k, r)
     dec = h_factor_decide(build_g2(r).graph, spec)
     builds = [(lows == highs, found) for lows, highs, found in gadget_builds]
-    assert builds == [(False, True), (True, False)]
+    assert builds == [(False, True)]
     assert dict(_family_decisions())[("build_g2", r, spec.allowed)] == dec
+
+
+def test_solving_hull_skips_a_feasible_all_lowest_gadget(gadget_builds):
+    # A 5-vertex block under {2,3}: the greedy factor at all-2 gets stuck,
+    # though the all-2 gadget has a factor (the cycle 0-1-4-2-3). The hull,
+    # degrees in 2..3 at vertices 0-2 and 2 at the rest, has a factor with
+    # every degree a candidate, so the node returns it after one matching
+    # instead of matching all-2 as well.
+    g = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4)))
+    spec = FactorSpec.of(2, 3)
+    dec = h_factor_decide(g, spec)
+    assert (dec.verdict, dec.nodes_explored) == (EXISTS, 1)
+    assert verify_factor(g, dec.certificate, spec)
+    assert gadget_builds == [((2,) * 5, (3, 3, 3, 2, 2), True)]
+    assert solver._gadget_factor_edges(g, [2] * 5) is not None
 
 
 def test_exact_cover_matchings_counted(monkeypatch):
@@ -523,16 +539,19 @@ def _family_decisions() -> Labelled:
 
 
 @functools.cache
-def _block_tree_decisions() -> Labelled:
-    """Decisions on 300 seeded block trees of cliques and cycles (up to 60
-    vertices) under five specs, each labelled by its tree and spec."""
+def _block_trees() -> tuple[Graph, ...]:
+    """300 seeded block trees of cliques and cycles, up to 60 vertices each."""
     rng = random.Random(2011)
+    return tuple(random_block_tree(rng, 60) for _ in range(300))
+
+
+@functools.cache
+def _block_tree_decisions() -> Labelled:
+    """Decisions on _block_trees() under five specs, each labelled by its
+    tree's index and spec."""
     specs = [FactorSpec.of(*s) for s in ((1,), (1, 2), (1, 3), (0, 2), (2, 3))]
-    decisions = []
-    for tree in range(300):
-        g = random_block_tree(rng, 60)
-        decisions.extend(((tree, spec.allowed), h_factor_decide(g, spec)) for spec in specs)
-    return tuple(decisions)
+    return tuple(((tree, spec.allowed), h_factor_decide(g, spec))
+                 for tree, g in enumerate(_block_trees()) for spec in specs)
 
 
 CENSUS_SPECS = [
@@ -620,11 +639,17 @@ def test_block_tree_decisions_pinned():
     # endpoints listed their gadget first, which finds other factors, when
     # sides were queried once per cut degree, when the search became one
     # pass over one block decomposition, when child blocks were folded into
-    # their cut vertex's candidates, and when exact targets tried a greedy
-    # factor with length-3 repairs before the gadget.
+    # their cut vertex's candidates, when exact targets tried a greedy
+    # factor with length-3 repairs before the gadget, and when a hull factor
+    # with every degree a candidate solved its node before the all-lowest
+    # gadget was matched (f8dcd63c... to 9bb53af7...): two certificates moved,
+    # tree 0 under {1,3} and tree 271 under {1,2}, each now a hull factor.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
-        "f8dcd63c236f33b0d1019368656bbb2f09bd73fafef8e6891c083011e17c1214"
+        "9bb53af7fd6dd2139369a7a239d62686a71c76f8a78fdd7d6202a36aeff117d6"
     )
+    decisions = dict(_block_tree_decisions())
+    for tree, spec in ((0, (1, 3)), (271, (1, 2))):
+        assert verify_factor(_block_trees()[tree], decisions[(tree, spec)].certificate, FactorSpec(spec))
 
 
 def _spy_on_decomposition(monkeypatch):
@@ -670,6 +695,24 @@ def test_one_decomposition_induces_each_block_once(monkeypatch):
     assert len(_piece_ids(g)) == 1
     g2 = build_g2(12).graph
     assert (len(g2._block_tree[0]), len(_piece_ids(g2))) == (11, 2)
+
+
+def test_block_tree_cuts_are_the_articulation_points():
+    # cuts[i] holds the positions in block i of the articulation points, and
+    # every other vertex has the same degree in its block's piece as in g, so
+    # the search re-clips only cut vertices. A spanning block's piece is g.
+    graphs = [*_block_trees(),
+              *(build(r).graph for build, degrees in ((build_g1, (6, 10, 14, 18)), (build_g2, (8, 12)))
+                for r in degrees),
+              *(g for n in range(7) for g in all_graphs(n))]
+    for g in graphs:
+        cut = set(articulation_points(g))
+        blocks, _, _, pieces, cuts = g._block_tree
+        assert len(cuts) == len(blocks)
+        for block, (_, sub), positions in zip(blocks, pieces, cuts):
+            sub = g if sub is None else sub
+            assert positions == tuple(j for j, v in enumerate(block) if v in cut)
+            assert all(sub.degree(j) == g.degree(v) for j, v in enumerate(block) if v not in cut)
 
 
 def test_long_path_is_one_pass(monkeypatch):
