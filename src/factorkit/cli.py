@@ -242,7 +242,10 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """All four subcommands, but arguments only for `command`: argparse reads no
+    other subparser's, so help and errors are unchanged, and a `run` call skips
+    the other commands' `add_argument` calls, most of the parser's set-up."""
     parser = _Parser(
         prog="factorkit",
         description="Generate regular hub-and-blocks families, decide degree-set "
@@ -251,43 +254,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a block, G1, or G2 family member")
-    p_gen.add_argument("family", choices=("block", "g1", "g2"))
-    p_gen.add_argument("--r", type=gio.ascii_int, required=True, help="regular degree r")
-    p_gen.add_argument("--format", choices=gio.FORMATS, default="graph6")
-    p_gen.add_argument("--out", default=None, help="output path (default stdout)")
-    p_gen.add_argument(
-        "--descriptor", default=None, help="also write the JSON labeling descriptor here"
-    )
+    if command == "gen":
+        p_gen.add_argument("family", choices=("block", "g1", "g2"))
+        p_gen.add_argument("--r", type=gio.ascii_int, required=True, help="regular degree r")
+        p_gen.add_argument("--format", choices=gio.FORMATS, default="graph6")
+        p_gen.add_argument("--out", default=None, help="output path (default stdout)")
+        p_gen.add_argument(
+            "--descriptor", default=None, help="also write the JSON labeling descriptor here"
+        )
 
     p_factor = sub.add_parser("factor", help="decide whether a degree-set factor exists")
-    p_factor.add_argument("mode", choices=("check", "find"))
-    spec_group = p_factor.add_mutually_exclusive_group(required=True)
-    spec_group.add_argument("--spec", help="comma-separated allowed degrees, e.g. 1,5")
-    spec_group.add_argument(
-        "--kr", type=gio.ascii_int, help="expand to {k, r-k} using the input graph's regularity"
-    )
-    p_factor.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
-    p_factor.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
-    p_factor.add_argument("--json", action="store_true")
+    if command == "factor":
+        p_factor.add_argument("mode", choices=("check", "find"))
+        spec_group = p_factor.add_mutually_exclusive_group(required=True)
+        spec_group.add_argument("--spec", help="comma-separated allowed degrees, e.g. 1,5")
+        spec_group.add_argument(
+            "--kr", type=gio.ascii_int, help="expand to {k, r-k} using the input graph's regularity"
+        )
+        p_factor.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
+        p_factor.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
+        p_factor.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="verify a theorem or a parity certificate")
-    p_verify.add_argument("check", choices=("thm2", "gallai", "no-factor"))
-    p_verify.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
-    p_verify.add_argument("--k", type=gio.ascii_int, default=None)
-    p_verify.add_argument("--hubs", default=None, help="comma-separated hub vertex ids")
-    p_verify.add_argument("--json", action="store_true")
+    if command == "verify":
+        p_verify.add_argument("check", choices=("thm2", "gallai", "no-factor"))
+        p_verify.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
+        p_verify.add_argument("--k", type=gio.ascii_int, default=None)
+        p_verify.add_argument("--hubs", default=None, help="comma-separated hub vertex ids")
+        p_verify.add_argument("--json", action="store_true")
 
     p_convert = sub.add_parser("convert", help="convert between graph file formats")
-    p_convert.add_argument("--from", dest="src", choices=gio.FORMATS, required=True)
-    p_convert.add_argument("--to", dest="dst", choices=gio.FORMATS, required=True)
-    p_convert.add_argument("--in", dest="infile", default="-", help="input path (default stdin)")
-    p_convert.add_argument("--out", default=None, help="output path (default stdout)")
+    if command == "convert":
+        p_convert.add_argument("--from", dest="src", choices=gio.FORMATS, required=True)
+        p_convert.add_argument("--to", dest="dst", choices=gio.FORMATS, required=True)
+        p_convert.add_argument("--in", dest="infile", default="-", help="input path (default stdin)")
+        p_convert.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
 def _dispatch(argv: list[str]) -> int:
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse has printed help, or a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     if args.command == "gen":

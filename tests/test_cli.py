@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import io
@@ -512,6 +513,64 @@ def test_usage_error_exit_code(g1_path, capsys):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and f"argument {flag}:" in captured.err
+
+
+HELP_AND_USAGE_ARGVS = [
+    ["--help"], ["-h", "factor"],
+    ["gen", "--help"], ["factor", "--help"], ["verify", "--help"], ["convert", "--help"],
+    [], ["bogus"], ["factor"], ["factor", "check"],
+    ["factor", "check", "--spec", "1", "--kr", "1"],
+    ["factor", "check", "--spec", "1", "extra"],
+    ["gen", "g1"], ["gen", "g3", "--r", "6"], ["gen", "block", "--r", "4", "--format", "dimacs"],
+    ["convert", "--from", "graph6"], ["verify", "thm3"], ["verify", "gallai", "--in", "/nonexistent"],
+    ["factor", "find", "--spec", "1", "--budget", "x"],
+    ["--", "factor", "--help"], ["-x", "gen", "g1", "--r", "6"], ["-", "factor"],
+    ["-1", "factor", "check"], ["factor", "-", "check"],
+]
+
+# sha256 over repr((argv, exit code, stdout, stderr)) per argv, taken when
+# every call still built all four commands' arguments. argparse words and
+# wraps help differently from one Python minor version to the next, so the
+# pins hold for the version they were taken on.
+HELP_AND_USAGE_PINS = {
+    (3, 11): {
+        80: "07d93076be6e4189903668e8827424ed7c60e9ec6290072f48759de57d3c61dd",
+        50: "c565a09eda60911a4d102b4f619a13ff91eafb64c62e597209be2772818698ce",
+    },
+}
+
+
+@pytest.mark.parametrize("columns", [80, 50])
+def test_help_and_usage_pinned(monkeypatch, capsys, columns):
+    pins = HELP_AND_USAGE_PINS.get(sys.version_info[:2])
+    if pins is None:
+        pinned = ", ".join("%d.%d" % version for version in HELP_AND_USAGE_PINS)
+        pytest.skip(f"help and usage are pinned on Python {pinned} only")
+    monkeypatch.setenv("COLUMNS", str(columns))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    digest = hashlib.sha256()
+    for argv in HELP_AND_USAGE_ARGVS:
+        code = run(argv)
+        captured = capsys.readouterr()
+        digest.update(repr((argv, code, captured.out, captured.err)).encode())
+    assert digest.hexdigest() == pins[columns]
+
+
+def test_a_call_adds_only_its_own_commands_arguments(g1_path, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.extend(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert run(["factor", "check", "--spec", "1", "--in", g1_path]) == 1
+    assert "--budget" in added
+    assert not {"--r", "--descriptor", "--k", "--hubs", "--from", "--to"} & set(added)
+    added.clear()
+    assert run(["--help"]) == 0
+    assert set(added) == {"-h", "--help"}
 
 
 def test_console_entry_point():
