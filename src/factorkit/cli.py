@@ -242,18 +242,22 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """All four subcommands, but arguments only for `command`: argparse reads no
-    other subparser's, so help and errors are unchanged, and a `run` call skips
-    the other commands' `add_argument` calls, most of the parser's set-up."""
+def _build_parser(command: str | None, alone: bool) -> argparse.ArgumentParser:
+    """Arguments only for `command`, and when `alone` (argv[0] is a command), no
+    other subparser: argparse reads those only to list the commands, in the usage
+    line, kept by the metavar, and in the invalid-choice error and the top-level
+    help, which such a call never reaches. Every other call builds all four and no
+    metavar, which would also rename the action in "argument command: ..." errors."""
     parser = _Parser(
         prog="factorkit",
         description="Generate regular hub-and-blocks families, decide degree-set "
         "factors exactly, and verify the supporting theorems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = "{gen,factor,verify,convert}" if alone else None
+    sub = parser.add_subparsers(dest="command", required=True, prog="factorkit", metavar=metavar)
 
-    p_gen = sub.add_parser("gen", help="generate a block, G1, or G2 family member")
+    if not alone or command == "gen":
+        p_gen = sub.add_parser("gen", help="generate a block, G1, or G2 family member")
     if command == "gen":
         p_gen.add_argument("family", choices=("block", "g1", "g2"))
         p_gen.add_argument("--r", type=gio.ascii_int, required=True, help="regular degree r")
@@ -263,7 +267,8 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
             "--descriptor", default=None, help="also write the JSON labeling descriptor here"
         )
 
-    p_factor = sub.add_parser("factor", help="decide whether a degree-set factor exists")
+    if not alone or command == "factor":
+        p_factor = sub.add_parser("factor", help="decide whether a degree-set factor exists")
     if command == "factor":
         p_factor.add_argument("mode", choices=("check", "find"))
         spec_group = p_factor.add_mutually_exclusive_group(required=True)
@@ -275,7 +280,8 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         p_factor.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
         p_factor.add_argument("--json", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="verify a theorem or a parity certificate")
+    if not alone or command == "verify":
+        p_verify = sub.add_parser("verify", help="verify a theorem or a parity certificate")
     if command == "verify":
         p_verify.add_argument("check", choices=("thm2", "gallai", "no-factor"))
         p_verify.add_argument("--in", dest="infile", default="-", help="graph6 file or - for stdin")
@@ -283,7 +289,8 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         p_verify.add_argument("--hubs", default=None, help="comma-separated hub vertex ids")
         p_verify.add_argument("--json", action="store_true")
 
-    p_convert = sub.add_parser("convert", help="convert between graph file formats")
+    if not alone or command == "convert":
+        p_convert = sub.add_parser("convert", help="convert between graph file formats")
     if command == "convert":
         p_convert.add_argument("--from", dest="src", choices=gio.FORMATS, required=True)
         p_convert.add_argument("--to", dest="dst", choices=gio.FORMATS, required=True)
@@ -294,8 +301,9 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 
 def _dispatch(argv: list[str]) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
+    alone = command in ("gen", "factor", "verify", "convert") and argv[0] == command
     try:
-        args = _build_parser(command).parse_args(argv)
+        args = _build_parser(command, alone).parse_args(argv)
     except SystemExit as exc:  # argparse has printed help, or a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     if args.command == "gen":

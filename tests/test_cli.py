@@ -529,31 +529,87 @@ HELP_AND_USAGE_ARGVS = [
 ]
 
 # sha256 over repr((argv, exit code, stdout, stderr)) per argv, taken when
-# every call still built all four commands' arguments. argparse words and
-# wraps help differently from one Python minor version to the next, so the
-# pins hold for the version they were taken on.
+# every call still built all four commands' arguments and all four
+# subparsers. argparse words and wraps help differently from one Python minor
+# version to the next, so the pins hold for the version they were taken on:
+# 3.10.13, 3.11.7, 3.12.1 and 3.13.0; other patch releases are unverified.
+# 3.10 and 3.12 print the same bytes as 3.11 here, and 3.13 does not.
 HELP_AND_USAGE_PINS = {
     (3, 11): {
         80: "07d93076be6e4189903668e8827424ed7c60e9ec6290072f48759de57d3c61dd",
         50: "c565a09eda60911a4d102b4f619a13ff91eafb64c62e597209be2772818698ce",
     },
+    (3, 10): {
+        80: "07d93076be6e4189903668e8827424ed7c60e9ec6290072f48759de57d3c61dd",
+        50: "c565a09eda60911a4d102b4f619a13ff91eafb64c62e597209be2772818698ce",
+    },
+    (3, 12): {
+        80: "07d93076be6e4189903668e8827424ed7c60e9ec6290072f48759de57d3c61dd",
+        50: "c565a09eda60911a4d102b4f619a13ff91eafb64c62e597209be2772818698ce",
+    },
+    (3, 13): {
+        80: "b23af8afcd1e22e4c2f9a6ba5c842e4a47fc8f9cdfbda8071fc4bde6e124b3fa",
+        50: "56965f9bfd682250fb88ca43152e38778d9089bae7a44d7932ce2dfb895f7cfe",
+    },
+}
+
+# Errors after a valid first command, which builds only that command's
+# subparser. The first four print the top-level usage, which must still name
+# all four commands.
+SINGLE_SUBPARSER_ARGVS = [
+    ["gen", "g1", "--r", "6", "extra"],
+    ["verify", "thm2", "extra"],
+    ["convert", "--from", "graph6", "--to", "dimacs", "extra"],
+    ["factor", "find", "--spec", "1", "--json", "extra"],
+    ["verify", "gallai", "--k", "x"],
+    ["gen", "g1", "--r"],
+    ["convert", "--to", "dimacs"],
+]
+
+# Taken as HELP_AND_USAGE_PINS were, on the same Python versions.
+SINGLE_SUBPARSER_PINS = {
+    (3, 10): {
+        80: "26ccec267e87c50d885be64fb4965cf0404fff88bacadbe7c432cdf869d39140",
+        50: "5d975efefb013f0e3ca2c407b1204aea1736ea0bba029740cc9fc7bab463c737",
+    },
+    (3, 11): {
+        80: "26ccec267e87c50d885be64fb4965cf0404fff88bacadbe7c432cdf869d39140",
+        50: "5d975efefb013f0e3ca2c407b1204aea1736ea0bba029740cc9fc7bab463c737",
+    },
+    (3, 12): {
+        80: "26ccec267e87c50d885be64fb4965cf0404fff88bacadbe7c432cdf869d39140",
+        50: "5d975efefb013f0e3ca2c407b1204aea1736ea0bba029740cc9fc7bab463c737",
+    },
+    (3, 13): {
+        80: "c97cbcf55c7efcffae6f0b492ef4634cfdb05bbe20276e02477e832c058132cd",
+        50: "38f9a36afcaf96e93a23290dc2776950808ad61abe5dedf4a01821295194247b",
+    },
 }
 
 
-@pytest.mark.parametrize("columns", [80, 50])
-def test_help_and_usage_pinned(monkeypatch, capsys, columns):
-    pins = HELP_AND_USAGE_PINS.get(sys.version_info[:2])
+def assert_pinned(argvs, version_pins, columns, monkeypatch, capsys):
+    pins = version_pins.get(sys.version_info[:2])
     if pins is None:
-        pinned = ", ".join("%d.%d" % version for version in HELP_AND_USAGE_PINS)
+        pinned = ", ".join("%d.%d" % version for version in sorted(version_pins))
         pytest.skip(f"help and usage are pinned on Python {pinned} only")
     monkeypatch.setenv("COLUMNS", str(columns))
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     digest = hashlib.sha256()
-    for argv in HELP_AND_USAGE_ARGVS:
+    for argv in argvs:
         code = run(argv)
         captured = capsys.readouterr()
         digest.update(repr((argv, code, captured.out, captured.err)).encode())
     assert digest.hexdigest() == pins[columns]
+
+
+@pytest.mark.parametrize("columns", [80, 50])
+def test_help_and_usage_pinned(monkeypatch, capsys, columns):
+    assert_pinned(HELP_AND_USAGE_ARGVS, HELP_AND_USAGE_PINS, columns, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("columns", [80, 50])
+def test_single_subparser_usage_pinned(monkeypatch, capsys, columns):
+    assert_pinned(SINGLE_SUBPARSER_ARGVS, SINGLE_SUBPARSER_PINS, columns, monkeypatch, capsys)
 
 
 def test_a_call_adds_only_its_own_commands_arguments(g1_path, monkeypatch):
@@ -571,6 +627,25 @@ def test_a_call_adds_only_its_own_commands_arguments(g1_path, monkeypatch):
     added.clear()
     assert run(["--help"]) == 0
     assert set(added) == {"-h", "--help"}
+
+
+def test_a_valid_first_command_creates_one_subparser(g1_path, monkeypatch):
+    created = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        created.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run(["factor", "check", "--spec", "1", "--in", g1_path]) == 1
+    assert created == ["factor"]
+    # A leading option or an unknown command can reach the top-level help or
+    # the invalid-choice error, which list every command.
+    for argv, code in [(["-h", "factor"], 0), (["bogus"], 2), (["-", "factor"], 2)]:
+        created.clear()
+        assert run(argv) == code, argv
+        assert created == ["gen", "factor", "verify", "convert"], argv
 
 
 def test_console_entry_point():
