@@ -89,11 +89,11 @@ def _answer_factor(args: argparse.Namespace, g: Graph) -> tuple[dict, str, int]:
     payload = decision.to_json_dict()
     if args.mode == "check":
         payload.pop("certificate", None)
-    human = (
+    human = "" if args.json else (  # _each_graph prints either the report or this text
         f"{decision.verdict} (spec={{{','.join(map(str, spec.allowed))}}}, "
         f"method={decision.method}, nodes={decision.nodes_explored})"
     )
-    if args.mode == "find" and decision.certificate is not None:
+    if human and args.mode == "find" and decision.certificate is not None:
         human += "\ncertificate: " + json.dumps([list(e) for e in decision.certificate])
     return {"spec": list(spec.allowed), "decision": payload}, human, EXIT_CODE[decision.exists]
 

@@ -103,7 +103,7 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex degree profile; sums to 2*m."""
-        return tuple(len(a) for a in self._adj)
+        return tuple(map(len, self._adj))
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
@@ -222,25 +222,28 @@ def edge_connectivity(g: Graph) -> int:
     """
     if g.n < 2:
         raise ValueError("edge connectivity is defined for graphs with n >= 2")
-    best = min(g.degrees())
+    n = g.n
     # Arcs 2i (u -> v) and 2i+1 (v -> u) for edge i = (u, v): the reverse of
     # arc a is a ^ 1. Sorted edges keep each arcs_of list in neighbor order.
     head = [w for u, v in g.edges for w in (v, u)]
-    arcs_of: list[list[int]] = [[] for _ in range(g.n)]
-    for a in range(len(head)):
-        arcs_of[head[a ^ 1]].append(a)
-    # Greedy by coverage, ties to the smallest id; a stale entry only overstates.
-    gain = [1 + g.degree(v) for v in range(g.n)]
-    covered = [False] * g.n
-    uncovered = g.n
-    heap = [(-gain[v], v) for v in range(g.n)]
+    arcs_of: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(g.edges):
+        arcs_of[u].append(2 * i)
+        arcs_of[v].append(2 * i + 1)
+    # Greedy by coverage, ties to the smallest id: one key v - gain * n per vertex, sorting as (-gain, v).
+    gain = [1 + len(a) for a in g._adj]
+    best = min(gain) - 1
+    covered = [False] * n
+    uncovered = n
+    heap = [v - gain[v] * n for v in range(n)]
     heapq.heapify(heap)
     dominating: list[int] = []
     while uncovered:
-        neg_gain, v = heapq.heappop(heap)
-        if gain[v] < -neg_gain:
-            heapq.heappush(heap, (-gain[v], v))
+        v = heap[0] % n
+        if heap[0] != v - gain[v] * n:  # stale: v's gain has dropped since
+            heapq.heapreplace(heap, v - gain[v] * n)
             continue
+        heapq.heappop(heap)
         dominating.append(v)
         for u in (v, *g.neighbors(v)):
             if not covered[u]:
@@ -250,7 +253,7 @@ def edge_connectivity(g: Graph) -> int:
                 for w in g.neighbors(u):
                     gain[w] -= 1
     residual = [1] * len(head)
-    source = [False] * g.n
+    source = [False] * n
     for s, t in zip(dominating, dominating[1:]):
         source[s] = True
         best = _unit_max_flow(head, arcs_of, residual, source, t, cutoff=best)

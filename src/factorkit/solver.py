@@ -203,13 +203,16 @@ def _greedy_factor_edges(g: Graph, targets: Sequence[int]) -> tuple[Edge, ...] |
     u-x (unused), x-y (used), y-w (unused) to a short w, or back to u when it
     needs two, until the first vertex that no such path lifts."""
     n, short = g.n, list(targets)
-    used: set[int] = set()  # u * n + v and v * n + u for each used edge (u, v)
-    for u, v in g.edges:
+    taken = []
+    for edge in g.edges:
+        u, v = edge
         if short[u] and short[v]:
             short[u] -= 1
             short[v] -= 1
-            used.add(u * n + v)
-            used.add(v * n + u)
+            taken.append(edge)
+    if not any(short):
+        return tuple(taken)
+    used = {u * n + v for u, v in taken} | {v * n + u for u, v in taken}
     for u in range(n):
         while short[u]:
             path = next(((x, y, w) for x in g.neighbors(u) if u * n + x not in used
@@ -527,20 +530,22 @@ def _euler_orientation(n: int, edges: Sequence[Edge]) -> list[bool]:
     always leaves along the smallest unused edge. Flag i is True when edge
     i = (u, v) runs from v to u: each edge runs against the direction it was
     walked, as in the vertex path the stack pops, so in-degree = out-degree."""
-    # Canonical order lists each vertex's (edge, other end, flag) ascending.
-    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    # Canonical order lists each vertex's incident edge ids ascending.
+    incident: list[list[int]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
-        incident[u].append((i, v, True))
-        incident[v].append((i, u, False))
+        incident[u].append(i)
+        incident[v].append(i)
     backward: list[bool | None] = [None] * len(edges)  # None: not walked yet
-    untried = [iter(triples) for triples in incident]
+    untried = [iter(ids) for ids in incident]
     for start in range(n):
         stack = [start]
         while stack:
-            for i, w, flag in untried[stack[-1]]:
+            v = stack[-1]
+            for i in untried[v]:
                 if backward[i] is None:
-                    backward[i] = flag
-                    stack.append(w)
+                    u, w = edges[i]
+                    backward[i] = flag = u == v  # left from the lower end
+                    stack.append(w if flag else u)
                     break
             else:
                 stack.pop()
@@ -565,15 +570,16 @@ def _two_factors(g: Graph, count: int | None = None) -> Iterator[tuple[Edge, ...
         u, v = (v, u) if backward else (u, v)  # canonical order appends each list ascending
         adj[u].append(n + v)
         adj[n + v].append(u)
+    heads: list[int] = []
     for _ in range(count):
+        for v, w in enumerate(heads):  # peel the factor yielded before; none after the last
+            adj[v].remove(n + w)
+            adj[n + w].remove(v)
         mate, _ = perfect_matching(2 * n, adj)
         if mate is None:
             raise AssertionError("internal error: regular bipartite double lost its matching")
         heads = [mate[v] - n for v in range(n)]
         yield tuple(sorted((v, w) if v < w else (w, v) for v, w in enumerate(heads)))
-        for v, w in enumerate(heads):
-            adj[v].remove(n + w)
-            adj[n + w].remove(v)
 
 
 def decompose_two_factors(g: Graph) -> list[tuple[Edge, ...]]:

@@ -338,6 +338,29 @@ def test_edge_connectivity_flows_follow_greedy_dominating_set(flow_sources):
     assert len(flow_sources) == 44
 
 
+def test_edge_connectivity_flows_follow_greedy_on_many_gain_levels(flow_sources):
+    # Every vertex of a circulant starts at one gain. A star forest K_{1,1},
+    # ..., K_{1,40}, also relabelled, and random graphs of every density start
+    # at many gains with many ties, so each heap pick is checked against a
+    # full scan.
+    rng = random.Random(1987)
+    stars, n = [], 0
+    for k in range(1, 41):
+        stars += [(n, n + j) for j in range(1, k + 1)]
+        n += k + 1
+    perm = rng.sample(range(n), n)
+    graphs = [Graph(n, stars), Graph(n, [(perm[u], perm[v]) for u, v in stars])]
+    for _ in range(80):
+        n = rng.randint(2, 60)
+        graphs.append(random_graph(n, rng.randint(0, n * (n - 1) // 2 // rng.choice((1, 4, 16))), rng))
+    for g in graphs:
+        flow_sources.clear()
+        edge_connectivity(g)
+        dominating = _greedy_dominating_set(g)
+        assert [t for _, t in flow_sources] == dominating[1:]
+        assert not flow_sources or flow_sources[0][0] == dominating[:1]
+
+
 def test_edge_connectivity_sources_grow_by_each_sink(flow_sources):
     # The i-th flow runs from exactly the first i dominating vertices to the
     # next one: D[0] and every earlier sink.

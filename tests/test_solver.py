@@ -1141,6 +1141,25 @@ def test_euler_orientation_matches_reference_arcs(monkeypatch):
         assert doubles.pop() == _double(g.n, sorted(reference_euler_arcs(g.n, g.edges)))
 
 
+def test_even_regular_outputs_pinned():
+    # Validity alone lets a rewrite of the Euler walk or of the peeling pick
+    # other 2-factors. This pins which ones come out, and the certificates of
+    # the benchmark's {r/2} and {1, r-1} decisions.
+    rng = random.Random(1891)
+    hosts = LARGE_CIRCULANTS + [complete_graph(9)]
+    hosts += [random_regular_graph(rng.randint(8, 30), 4, rng) for _ in range(10)]
+    lines = []
+    for g in hosts:
+        r = g.degree(0)
+        lines.append(repr(decompose_two_factors(g)))
+        lines += [repr(even_k_factor(g, k)) for k in range(0, r + 1, 2)]
+    for g in LARGE_CIRCULANTS:
+        r = g.degree(0)
+        lines += [repr(h_factor_decide(g, spec).certificate) for spec in (FactorSpec.of(r // 2), FactorSpec.of(1, r - 1))]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "33123416ac7d5cc546aeb8a7c1b43b692e42d2e7419d027babb8d9f1d438d999"
+
+
 def test_decompose_handles_disconnected_hosts():
     two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     factors = decompose_two_factors(two_triangles)
