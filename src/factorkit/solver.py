@@ -24,13 +24,13 @@ take in it, and the feasible s are folded into the vertex's candidates (each
 candidate a becomes a - s), which the blocks beside and above it then see;
 the root is queried once. Top down, each cut vertex undoes its folds in
 reverse, giving each child block the least s that keeps its degree a
-candidate from before that fold. A block is decided by branch and bound: a
-node tries the greedy factor at every vertex's lowest candidate, then
-relaxes each vertex's candidates to their window, which is exact when no gap
-exceeds 1 (Cornuejols 1988) and holds every all-lowest factor, so a failed
-relaxation prunes and one with every degree a candidate solves; else it
-tries the all-lowest gadget, then splits the candidates of a vertex whose
-relaxed degree falls in a gap. The host keeps its block-cut tree for later
+candidate from before that fold. A block is decided by branch and bound with
+one matching per node: a node tries the greedy factor at every vertex's
+lowest candidate, then relaxes each vertex's candidates to their window,
+which is exact when no gap exceeds 1 (Cornuejols 1988) and holds every
+all-lowest factor, so a failed relaxation prunes and one with every degree
+a candidate solves; else it splits the candidates of a vertex whose relaxed
+degree falls in a gap. The host keeps its block-cut tree for later
 decisions: each block is induced once per graph, equal blocks share one
 piece, and queries are memoized by (piece id, candidate degrees). The pass
 is flat loops, so deep block-cut trees need no recursion. "Not exists" only
@@ -403,42 +403,35 @@ def _solve_blocks(g: Graph, allowed: Sequence[tuple[int, ...]], state: _SearchSt
 def _solve_by_relaxation(
     sub: Graph, candidates: tuple[tuple[int, ...], ...], state: _SearchState
 ) -> list[Edge] | None:
-    """Branch and bound, depth first. A node tries the greedy factor at every
-    vertex's lowest candidate, then the hull, each vertex's candidates widened
-    to a window; it holds every all-lowest factor, so no hull factor prunes,
-    and a hull factor with every degree a candidate solves. Else the
-    all-lowest gadget solves if it can, or the first vertex whose degree d is
-    in a gap splits below d, then above. The lower child keeps every lowest
-    candidate, so it inherits a failed all-lowest attempt."""
+    """Branch and bound, depth first, one matching per node. A node tries the
+    greedy factor at every vertex's lowest candidate, then matches the hull,
+    each vertex's candidates widened to a window; it holds every all-lowest
+    factor, so no hull factor prunes, and a hull factor with every degree a
+    candidate solves. Else the first vertex whose degree d is in a gap splits
+    below d, then above. The lower child keeps every lowest candidate, so it
+    inherits a failed greedy attempt."""
     stack = [(candidates, False)]
     while stack:
-        candidates, lows_failed = stack.pop()
+        candidates, greedy_failed = stack.pop()
         state.charge()
         if _parity_impossible(candidates):
             continue
         lows = [c[0] for c in candidates]
-        due = not lows_failed and sum(lows) % 2 == 0
-        edges = _greedy_factor_edges(sub, lows) if due else None
-        if edges is not None:
-            return list(edges)
-        highs = [c[-1] for c in candidates]
-        if not due and lows == highs:
-            continue
-        hull = _gadget_factor_edges(sub, lows, highs, [_mixed(c) for c in candidates])
+        if not greedy_failed and sum(lows) % 2 == 0:
+            edges = _greedy_factor_edges(sub, lows)
+            if edges is not None:
+                return list(edges)
+            greedy_failed = True
+        hull = _gadget_factor_edges(sub, lows, [c[-1] for c in candidates], [_mixed(c) for c in candidates])
         if hull is None:
             continue
         degrees = subgraph_degrees(sub.n, hull)
         v = next((v for v, c in enumerate(candidates) if degrees[v] not in c), None)
         if v is None:
             return list(hull)
-        if due:  # v's degree is in a gap, so the hull is not the all-lowest gadget
-            edges = _gadget_factor_edges(sub, lows)
-            if edges is not None:
-                return list(edges)
-            lows_failed = True
         d, c = degrees[v], candidates[v]
         stack += [(candidates[:v] + (tuple(a for a in c if a > d),) + candidates[v + 1:], False),
-                  (candidates[:v] + (tuple(a for a in c if a < d),) + candidates[v + 1:], lows_failed)]
+                  (candidates[:v] + (tuple(a for a in c if a < d),) + candidates[v + 1:], greedy_failed)]
     return None
 
 

@@ -420,9 +420,9 @@ def test_branching_refutes_a_feasible_hull(gadget_builds):
     # degrees sum to 4, which neither 1 + 3, 2 + 2 nor 4 + 0 is. The hull
     # (hubs anywhere in 1..4) is feasible, so the search branches at a hub
     # that lands in the gap: five nodes, each hull infeasible or in a gap.
-    # A lower child keeps every lowest candidate, so it inherits the failed
-    # all-1 gadget instead of matching it again, and prunes when its hull is
-    # that gadget: one all-1 build of at most four.
+    # Each node matches only its hull, and the all-1 gadget is the hull of
+    # the one node whose candidates are all single, the all-1 lower child:
+    # one all-1 build of at most four.
     g = Graph(6, tuple((leaf, hub) for leaf in range(4) for hub in (4, 5)))
     dec = h_factor_decide(g, FactorSpec.of(1, 4))
     assert (dec.verdict, dec.method, dec.nodes_explored) == (NOT_EXISTS, "exhausted-assignments", 5)
@@ -444,10 +444,9 @@ def test_two_hub_node_matches_only_its_hull(gadget_builds, t):
 
 @pytest.mark.parametrize("r, k", [(8, 3), (12, 5)])
 def test_g2_root_matches_only_its_hull(gadget_builds, r, k):
-    # The greedy factor misses at G2's root block. The hull has a factor with
-    # every degree a candidate, which solves the node, so the all-lowest
-    # gadget (which has no factor there) is never built, and the decision is
-    # the pinned one.
+    # The greedy factor misses at G2's root block. The hull, the one gadget
+    # a node builds, has a factor with every degree a candidate, which solves
+    # the node, and the decision is the pinned one.
     spec = FactorSpec.complementary(k, r)
     dec = h_factor_decide(build_g2(r).graph, spec)
     builds = [(lows == highs, found) for lows, highs, found in gadget_builds]
@@ -471,8 +470,9 @@ def test_solving_hull_skips_a_feasible_all_lowest_gadget(gadget_builds):
 
 
 def test_exact_cover_matchings_counted(monkeypatch):
-    # The pendant form at q = 12: 506 matchings over the ten draws, an exact
-    # count. A node whose hull has no factor costs one matching.
+    # The pendant form at q = 12: 462 matchings over the ten draws, an exact
+    # count. Each node matches at most its hull, so a node whose hull has no
+    # factor costs one matching.
     calls = []
     real = solver.perfect_matching
 
@@ -484,7 +484,27 @@ def test_exact_cover_matchings_counted(monkeypatch):
     for seed in range(10):
         g = x3c_graph(12, x3c_sets(12, random.Random(seed)), pendants=True)
         h_factor_decide(g, FactorSpec.of(1, 4))
-    assert len(calls) == 506
+    assert len(calls) == 462
+
+
+def test_each_search_node_builds_at_most_one_gadget(gadget_builds, monkeypatch):
+    # Charges, as None, among the gadget builds in call order, over searches
+    # that split: the pendant exact cover at q = 12 and K_{2,4} (hubs 4 and
+    # 5), under {1,4}. A node's one gadget is its hull, so no two builds
+    # follow one charge.
+    charge = solver._SearchState.charge
+
+    def spy(self):
+        gadget_builds.append(None)
+        return charge(self)
+
+    monkeypatch.setattr(solver._SearchState, "charge", spy)
+    graphs = [x3c_graph(12, x3c_sets(12, random.Random(seed)), pendants=True) for seed in range(10)]
+    graphs.append(Graph(6, tuple((leaf, hub) for leaf in range(4) for hub in (4, 5))))
+    for g in graphs:
+        h_factor_decide(g, FactorSpec.of(1, 4))
+    assert any(gadget_builds)
+    assert not any(a and b for a, b in zip(gadget_builds, gadget_builds[1:]))
 
 
 def test_h_factor_negative_budget_is_an_error():
@@ -641,9 +661,9 @@ def test_block_tree_decisions_pinned():
     # pass over one block decomposition, when child blocks were folded into
     # their cut vertex's candidates, when exact targets tried a greedy
     # factor with length-3 repairs before the gadget, and when a hull factor
-    # with every degree a candidate solved its node before the all-lowest
-    # gadget was matched (f8dcd63c... to 9bb53af7...): two certificates moved,
-    # tree 0 under {1,3} and tree 271 under {1,2}, each now a hull factor.
+    # with every degree a candidate solved its node, which then matched no
+    # other gadget (f8dcd63c... to 9bb53af7...): two certificates moved, tree
+    # 0 under {1,3} and tree 271 under {1,2}, each now a hull factor.
     assert _decisions_digest(_block_tree_decisions(), certificates=True) == (
         "9bb53af7fd6dd2139369a7a239d62686a71c76f8a78fdd7d6202a36aeff117d6"
     )
